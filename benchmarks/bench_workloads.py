@@ -56,7 +56,7 @@ def test_camcorder_matches_legacy(benchmark):
 
 def test_zoo_sweeps_and_orders(benchmark, budget):
     """One design point per zoo spec through the real sweep path."""
-    config = SystemConfig(channels=4, backend="fast")
+    config = SystemConfig(channels=4, backend="batch")
 
     def sweep_zoo():
         return {

@@ -29,8 +29,8 @@ PAPER_MARGIN = 0.15
 
 #: Relative width of the boundary snap: an access time within a few
 #: ulps of a verdict threshold classifies as exactly *at* it.  Backends
-#: that agree to within float rounding noise (the fast/batch engines
-#: reassociate sums the reference engine accumulates serially) must
+#: that agree to within float rounding noise (the batch engine
+#: reassociates sums the reference engine accumulates serially) must
 #: agree on the verdict too -- without the snap, an access time one ulp
 #: past the frame period flips feasible into FAIL.
 BOUNDARY_REL_TOL = 4.0 * sys.float_info.epsilon

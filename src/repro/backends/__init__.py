@@ -2,8 +2,8 @@
 
 One :class:`~repro.backends.base.ChannelBackend` sits behind
 :class:`~repro.core.system.MultiChannelMemorySystem`, the sweep
-runners and the CLI; ``reference``, ``fast``, ``batch`` (needs the
-numpy extra) and ``analytic`` ship built in (see
+runners and the CLI; ``reference``, ``batch`` and ``analytic`` ship
+built in (see
 :mod:`repro.backends.registry` for the trade-offs and how to register
 a custom backend).
 

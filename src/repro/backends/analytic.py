@@ -61,7 +61,7 @@ class AnalyticChannelSimulator(ChannelSimulator):
             raise ConfigurationError(
                 "the 'analytic' backend cannot produce command logs "
                 "(protocol auditing / check_invariants need the "
-                "'reference' or 'fast' backend)"
+                "'reference' or 'batch' backend)"
             )
         cfg = self.config
         t = self.timing

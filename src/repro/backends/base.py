@@ -9,28 +9,23 @@ interleaver produces for one channel and return
 :class:`~repro.controller.engine.ChannelResult`-compatible timing,
 command and state data.
 
-Four fidelity levels ship with the package (see
+Three fidelity levels ship with the package (see
 :mod:`repro.backends.registry`):
 
 ``reference``
     The event-driven :class:`~repro.controller.engine.ChannelEngine`,
     cycle-resolution and protocol-auditable.  The ground truth.
-``fast``
-    Run-length batching over the same timing algebra: same-direction
+``batch``
+    Closed-form batching over the same timing algebra: same-direction
     streaming row hits are advanced arithmetically in one step and the
     engine only falls back to per-access stepping at direction, row,
-    refresh and power-down boundaries.  Bit-identical to ``reference``
-    on every stream (the batch closed form is applied only when it is
-    provably exact), several times faster on streaming traffic.
-``batch``
-    The same provably-exact batching fed by a numpy-vectorized segment
-    decode that is cached across sweep points (the decode depends only
-    on the access stream and address mapping, not on the clock), plus
-    a proof-gated skip of dead command-queue bookkeeping.  Bit-identical
-    to ``reference``, an order of magnitude faster on the paper's
-    sweeps.  Needs the ``repro[batch]`` numpy extra; selecting the name
-    is always legal, building an engine without numpy raises
-    :class:`~repro.errors.ConfigurationError`.
+    refresh and power-down boundaries.  The access stream is decoded
+    once into (op, bank, row) segments, cached across sweep points
+    (the decode depends only on the access stream and address mapping,
+    not on the clock), and a proof-gated skip drops dead
+    command-queue bookkeeping.  Bit-identical to ``reference`` on
+    every stream (the closed form is applied only when it is provably
+    exact), an order of magnitude faster on the paper's sweeps.
 ``analytic``
     The closed-form model promoted to a full backend: O(runs) instead
     of O(bursts), within its documented tolerance of the reference

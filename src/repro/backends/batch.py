@@ -1,19 +1,28 @@
-"""The batch backend: vectorized segment decode + closed-form batching.
+"""The batch backend: cached segment decode + closed-form batching.
 
-The fast backend already collapses steady-state streaming into O(1)
-closed forms, but it still pays Python-loop overhead *per access* for
-address decode (bank/row shifts, segment-boundary arithmetic) and
-re-derives the same decode for every point of a frequency sweep.  This
-backend removes both costs:
+The reference engine executes one loop iteration per 16-byte burst.
+On the paper's workload that is almost always wasted generality: the
+traffic is long same-direction sequential runs, and once the data bus
+saturates every access follows the same recurrence --
 
-1. **Vectorized decode.**  The run list is decoded once, with numpy,
-   into a structured *segment table*: maximal stretches of accesses
-   that share (op, bank, row) -- broken at direction switches, at
-   2**seg_shift address blocks (the coarsest granularity at which any
-   decode input can change; row crossings and bank rotations happen
-   only there) and at run boundaries (where power-down gaps can
-   occur).  Per-access work in the timing loop disappears; the loop
-   advances one *segment* at a time.
+    t_j        = bus_free_{j-1} - latency          (column command)
+    cmd_free_j = t_j + 1
+    ds_j       = bus_free_{j-1}                     (data start)
+    bus_free_j = bus_free_{j-1} + burst + overhead  (data end)
+
+-- until a direction switch, a row crossing, a refresh deadline or a
+power-down gap breaks it.  This backend cuts the per-burst work in
+three steps:
+
+1. **Segment decode.**  The run list is decoded once into a *segment
+   table*: maximal stretches of accesses that share (op, bank, row) --
+   broken at direction switches, at 2**seg_shift address blocks (the
+   coarsest granularity at which any decode input can change; row
+   crossings and bank rotations happen only there) and at run
+   boundaries (where power-down gaps can occur).  The decode is a
+   plain-Python walk over each run's blocks, so the backend has no
+   dependency beyond the standard library; the timing loop advances
+   one *segment* at a time.
 
 2. **Cross-point decode cache.**  The segment table depends only on
    the run list and the address mapping -- never on clock frequency --
@@ -24,26 +33,23 @@ backend removes both costs:
    with :func:`decode_cache_stats`, drop it with
    :func:`clear_decode_cache`.
 
-The timing recurrences themselves are resolved per segment with the
-same *provably exact* cumulative-sum closed form the fast backend
-uses (``busfree(i) = bus_free + i*burst + (ovh_acc + i*ovh_per) >>
-ovh_shift``), split at refresh deadlines; where the proof fails the
-engine steps per access with the reference engine's exact loop body.
+3. **Closed-form batching.**  Within a segment the engine *proves*
+   the recurrence holds for the next ``n`` accesses (all bounds
+   dominated by the data-bus bound, no queue stall, no refresh due)
+   and applies its cumulative-sum closed form (``busfree(i) =
+   bus_free + i*burst + (ovh_acc + i*ovh_per) >> ovh_shift``) in
+   O(1), split at refresh deadlines; where the proof fails it steps
+   per access with the reference engine's exact loop body.
+
 The result is therefore **bit-identical** to the reference backend on
 every input stream (``reference_tolerance = 0.0``: the differential
 fuzzer and the golden comparator hold it to exact equality).
-
-numpy is an *optional* dependency (the ``batch`` extra:
-``pip install repro[batch]``).  Importing this module without numpy
-works -- the registry can still list and describe the backend -- but
-:meth:`BatchBackend.create` raises
-:class:`~repro.errors.ConfigurationError` explaining what to install.
 
 Command logging, runtime invariant checking and the closed-page
 policy fall back to the reference engine's exact stepping loop
 (inherited from :class:`~repro.controller.engine.ChannelEngine`), so
 protocol audits and closed-page studies behave identically to
-``reference`` -- just without the vectorized speedup.
+``reference`` -- just without the batching speedup.
 """
 
 from __future__ import annotations
@@ -51,26 +57,19 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Iterable, Optional, Tuple
 
-try:  # numpy is optional: the "batch" extra in pyproject.toml
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via monkeypatching
-    _np = None
-
 from repro.backends.base import ChannelBackend
-from repro.backends.fast import MIN_BATCH
 from repro.backends.reference import build_engine
 from repro.controller.engine import ChannelEngine, ChannelResult, RunLike
 from repro.controller.interconnect import OVERHEAD_SCALE, OVERHEAD_SHIFT
 from repro.core.config import SystemConfig
 from repro.dram.commands import CommandCounters, StateDurations
 from repro.dram.device import NO_OPEN_ROW
-from repro.errors import AddressError, ConfigurationError
+from repro.errors import AddressError
 
-_NUMPY_MISSING = (
-    "the 'batch' backend needs numpy, which is not installed; "
-    "install the optional extra (pip install repro[batch]) or pick "
-    "another backend (reference, fast, analytic)"
-)
+#: Smallest run length worth the batch bookkeeping; shorter stretches
+#: are stepped (the closed form costs ~a dozen integer ops plus up to
+#: ``queue.depth`` ring updates, so tiny batches would not pay).
+MIN_BATCH = 4
 
 #: Maximum decoded segment tables kept alive.  Sized for one sweep
 #: row's worth of channel streams (up to 8 channels) with headroom, so
@@ -124,12 +123,11 @@ class _DecodedStream:
     """One run list decoded into a frequency-independent segment table.
 
     ``segments`` is a list of ``(op, bank, row, count, arrival)``
-    tuples (materialised from the numpy structured table: plain-int
-    iteration is what the scalar timing loop wants).  ``arrival`` is
-    the run's arrival cycle on the run-head segment and ``-1``
-    elsewhere, so the power-down block runs exactly once per run.
-    Data-movement statistics that do not depend on timing at all
-    (reads, writes, per-bank access counts) are folded here too.
+    tuples.  ``arrival`` is the run's arrival cycle on the run-head
+    segment and ``-1`` elsewhere, so the power-down block runs exactly
+    once per run.  Data-movement statistics that do not depend on
+    timing at all (reads, writes, per-bank access counts) are folded
+    here too.
     """
 
     __slots__ = ("segments", "n_rd", "n_wr", "bank_counts")
@@ -142,13 +140,15 @@ class _DecodedStream:
 
 
 def _decode_stream(runs: Tuple[Tuple[int, int, int, int], ...], mapping) -> _DecodedStream:
-    """Vectorized run-list -> segment-table decode (cache miss path)."""
-    np = _np
+    """Run-list -> segment-table decode (cache miss path)."""
     # Accesses share (bank, row) while the chunk bits at or above every
     # decode shift are constant, i.e. within one aligned 2**seg_shift
-    # block (same criterion as the fast backend's batch proof).
+    # block.  This needs no row semantics: it is the coarsest
+    # granularity at which *any* decode input can change.
     bank_shift = mapping.bank_shift
+    bank_mask = mapping.bank_mask
     row_shift = mapping.row_shift
+    row_mask = mapping.row_mask
     xor_shift = mapping.xor_shift
     xor_mask = mapping.xor_mask
     seg_shift = min(
@@ -156,57 +156,31 @@ def _decode_stream(runs: Tuple[Tuple[int, int, int, int], ...], mapping) -> _Dec
         if xor_mask
         else (bank_shift, row_shift)
     )
-    nbanks = mapping.bank_mask + 1
+    seg_mask = (1 << seg_shift) - 1
 
-    if not runs:
-        return _DecodedStream([], 0, 0, (0,) * nbanks)
-
-    table = np.asarray(runs, dtype=np.int64)  # (nruns, 4)
-    ops = table[:, 0]
-    starts = table[:, 1]
-    counts = table[:, 2]
-    arrivals = table[:, 3]
-
-    first_block = starts >> seg_shift
-    nseg = ((starts + counts - 1) >> seg_shift) - first_block + 1
-    total = int(nseg.sum())
-    seg_run = np.repeat(np.arange(len(runs), dtype=np.int64), nseg)
-    offsets = np.zeros(len(runs), dtype=np.int64)
-    np.cumsum(nseg[:-1], out=offsets[1:])
-    within = np.arange(total, dtype=np.int64) - offsets[seg_run]
-    block = first_block[seg_run] + within
-
-    lo = np.maximum(block << seg_shift, starts[seg_run])
-    hi = np.minimum((block + 1) << seg_shift, (starts + counts)[seg_run])
-
-    segs = np.empty(
-        total,
-        dtype=np.dtype(
-            [
-                ("op", np.int64),
-                ("bank", np.int64),
-                ("row", np.int64),
-                ("count", np.int64),
-                ("arrival", np.int64),
-            ]
-        ),
-    )
-    segs["op"] = ops[seg_run]
-    segs["bank"] = ((lo >> bank_shift) ^ ((lo >> xor_shift) & xor_mask)) & mapping.bank_mask
-    segs["row"] = (lo >> row_shift) & mapping.row_mask
-    seg_len = hi - lo
-    segs["count"] = seg_len
-    segs["arrival"] = np.where(within == 0, arrivals[seg_run], -1)
-
-    bank_counts = np.bincount(
-        segs["bank"], weights=seg_len, minlength=nbanks
-    ).astype(np.int64)
-    n_rd = int(seg_len[ops[seg_run] == 0].sum())
-    n_wr = int(seg_len.sum()) - n_rd
-
-    return _DecodedStream(
-        segs.tolist(), n_rd, n_wr, tuple(int(c) for c in bank_counts)
-    )
+    segments = []
+    append = segments.append
+    bank_counts = [0] * (bank_mask + 1)
+    n_rd = 0
+    n_wr = 0
+    for op, start, count, arrival in runs:
+        if op == 0:
+            n_rd += count
+        else:
+            n_wr += count
+        end = start + count
+        lo = start
+        while lo < end:
+            hi = (lo | seg_mask) + 1
+            if hi > end:
+                hi = end
+            bank = ((lo >> bank_shift) ^ ((lo >> xor_shift) & xor_mask)) & bank_mask
+            seg_len = hi - lo
+            append((op, bank, (lo >> row_shift) & row_mask, seg_len, arrival))
+            bank_counts[bank] += seg_len
+            arrival = -1
+            lo = hi
+    return _DecodedStream(segments, n_rd, n_wr, tuple(bank_counts))
 
 
 def _decode_cached(
@@ -239,7 +213,7 @@ def _decode_cached(
 
 
 class BatchChannelEngine(ChannelEngine):
-    """Reference timing algebra over a vectorized segment decode."""
+    """Reference timing algebra over a cached segment decode."""
 
     def run(
         self,
@@ -250,18 +224,17 @@ class BatchChannelEngine(ChannelEngine):
         magnitude faster on streaming traffic.
 
         The stepped branch is the reference engine's loop body, kept
-        textually in sync; the batch branch is the fast backend's
-        closed form applied per decoded segment.  Command logging,
-        invariant checking and the closed-page policy fall back to the
-        inherited reference loop (every command must be materialised
-        to be logged / immediately precharged).
+        textually in sync; the batch branch is that body's closed form
+        applied per decoded segment under the conditions it checks
+        first.  Command logging, invariant checking and the
+        closed-page policy fall back to the inherited reference loop
+        (every command must be materialised to be logged / immediately
+        precharged).
         """
         if command_log is not None or self.check_invariants:
             return ChannelEngine.run(self, runs, command_log)
         if not self.page_policy.keeps_rows_open:
             return ChannelEngine.run(self, runs, command_log)
-        if _np is None:
-            raise ConfigurationError(_NUMPY_MISSING)
 
         normalised = tuple(self._normalise(runs))
         max_chunk = self._max_chunk
@@ -368,11 +341,16 @@ class BatchChannelEngine(ChannelEngine):
 
             left = count
             while left > 0:
-                # ==== batch attempt (the fast backend's exact proof) ===
+                # ==== batch attempt ===================================
+                # Conditions under which the next n accesses provably
+                # reduce to the steady-state recurrence:
                 #   1. no refresh due before any batched command issue,
                 #   2. row hit ((bank, row) constant per segment),
                 #   3. the data-bus bound dominates every other bound of
-                #      the first access (monotonicity extends this),
+                #      the first access (monotonicity extends this to
+                #      the rest: the bus bound grows by >= burst >= 1
+                #      per access while col_ready / turnaround bounds
+                #      stay fixed and cmd_free trails the bus bound),
                 #   4. no command-queue stall for any batched access.
                 if left >= MIN_BATCH and cmd_free < next_ref and open_row[bnk] == row:
                     t1 = bus_free - lat
@@ -631,12 +609,12 @@ class BatchChannelEngine(ChannelEngine):
 
 
 class BatchBackend(ChannelBackend):
-    """Vectorized-decode batching backend: reference-exact, sweep-fast."""
+    """Segment-decode batching backend: reference-exact, sweep-fast."""
 
     name = "batch"
     supports_command_log = True
     description = (
-        "vectorized segment decode + closed-form batching (numpy); "
+        "cached segment decode + closed-form batching; "
         "bit-identical, >=10x faster on streaming sweeps"
     )
     #: Batching is applied only when provably exact, so the fuzzer and
@@ -644,11 +622,5 @@ class BatchBackend(ChannelBackend):
     reference_tolerance = 0.0
 
     def create(self, config: SystemConfig, index: int = 0) -> BatchChannelEngine:
-        """One :class:`BatchChannelEngine` per channel.
-
-        Raises :class:`~repro.errors.ConfigurationError` when numpy is
-        not installed (the ``batch`` optional extra).
-        """
-        if _np is None:
-            raise ConfigurationError(_NUMPY_MISSING)
+        """One :class:`BatchChannelEngine` per channel."""
         return build_engine(config, engine_cls=BatchChannelEngine)

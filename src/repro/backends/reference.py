@@ -25,7 +25,7 @@ def build_engine(
 ) -> ChannelEngine:
     """Construct a channel engine (or subclass) from a system config.
 
-    Shared by the reference and fast backends so the config-to-engine
+    Shared by the reference and batch backends so the config-to-engine
     parameter mapping exists exactly once.
     """
     return engine_cls(

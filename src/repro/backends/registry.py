@@ -7,7 +7,7 @@ the simulation machinery.  The built-in backends are resolved lazily
 on first :func:`get_backend` -- ``import repro`` never pays for a
 backend nobody selected.
 
-Custom backends (a numpy kernel, a remote worker proxy, ...) register
+Custom backends (a vectorized kernel, a remote worker proxy, ...) register
 at runtime::
 
     from repro.backends import ChannelBackend, register_backend
@@ -22,7 +22,7 @@ at runtime::
 The process-wide *default* backend (what ``SystemConfig()`` resolves
 ``backend`` to when the caller does not pass one) is ``reference``;
 :func:`set_default_backend` overrides it, which is how the CI backend
-matrix runs the whole suite under ``--backend fast``.
+matrix runs the whole suite under ``--backend batch``.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Built-in backends, resolved lazily: name -> (module, class).
 _BUILTIN: Dict[str, Tuple[str, str]] = {
     "reference": ("repro.backends.reference", "ReferenceBackend"),
-    "fast": ("repro.backends.fast", "FastBackend"),
     "analytic": ("repro.backends.analytic", "AnalyticBackend"),
     "batch": ("repro.backends.batch", "BatchBackend"),
 }

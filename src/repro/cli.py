@@ -30,10 +30,9 @@ the sequential default.
 
 ``--backend NAME`` selects the simulation backend for every simulated
 point (see :mod:`repro.backends` and docs/architecture.md, Backends):
-``reference`` (default, exact), ``fast`` (bit-identical run-length
-batching, several times faster), ``batch`` (bit-identical vectorized
-decode + cross-point caching, an order of magnitude faster; needs the
-numpy extra) or ``analytic`` (closed-form screening).  ``explore
+``reference`` (default, exact), ``batch`` (bit-identical segment
+decode + cross-point caching + closed-form batching, an order of
+magnitude faster) or ``analytic`` (closed-form screening).  ``explore
 --prescreen analytic`` screens the design grid closed-form and refines
 only plausible points under ``--backend``.
 
@@ -117,7 +116,7 @@ Regression & goldens):
   goldens instead (requires a bit-identical backend), ``--goldens
   DIR`` points at an alternative golden store.
 - ``fuzz`` runs a seeded differential-fuzzing campaign: every case
-  under ``fast``/``analytic`` vs the reference, plus metamorphic
+  under ``batch``/``analytic`` vs the reference, plus metamorphic
   invariant checks; exits non-zero on any mismatch.  ``--repro
   STRING`` replays a single failure repro instead.
 """
@@ -194,11 +193,9 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="NAME",
         help=(
             "simulation backend for every simulated point: 'reference' "
-            "(exact event-driven engine, the default), 'fast' "
-            "(bit-identical run-length batching, several times faster), "
-            "'batch' (bit-identical vectorized decode, ~10x+; needs the "
-            "numpy extra) or 'analytic' (closed-form screening); see "
-            "docs/architecture.md, Backends"
+            "(exact event-driven engine, the default), 'batch' "
+            "(bit-identical closed-form batching, ~10x+) or 'analytic' "
+            "(closed-form screening); see docs/architecture.md, Backends"
         ),
     )
     parser.add_argument(
@@ -839,7 +836,7 @@ def _run_command(args: argparse.Namespace) -> Tuple[List[str], int]:
         from repro.regression import run_fuzz, run_repro
 
         if args.repro is not None:
-            backend = args.backend if args.backend is not None else "fast"
+            backend = args.backend if args.backend is not None else "batch"
             problems = run_repro(args.repro, backend)
             sections.append(f"== Repro replay under backend={backend} ==")
             if problems:

@@ -39,7 +39,7 @@ class Channel:
     def engine(self) -> ChannelSimulator:
         """The channel's simulator (historical name).
 
-        Under the ``reference`` and ``fast`` backends this is a
+        Under the ``reference`` and ``batch`` backends this is a
         :class:`~repro.controller.engine.ChannelEngine` (or subclass)
         with the full engine surface (``make_checker``,
         ``check_invariants``, ...); other backends only guarantee the

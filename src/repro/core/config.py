@@ -54,10 +54,11 @@ class SystemConfig:
     #: way -- see :mod:`repro.parallel` and docs/architecture.md.
     parallelism: int = 1
     #: Simulation backend evaluating each channel's access stream:
-    #: ``"reference"`` (event-driven engine, exact), ``"fast"``
-    #: (run-length batching, bit-identical to reference and several
-    #: times faster on streaming traffic) or ``"analytic"``
-    #: (closed-form, O(runs), screening fidelity) -- plus any backend
+    #: ``"reference"`` (event-driven engine, exact), ``"batch"``
+    #: (cached segment decode + closed-form batching, bit-identical to
+    #: reference and an order of magnitude faster on streaming
+    #: traffic) or ``"analytic"`` (closed-form, O(runs), screening
+    #: fidelity) -- plus any backend
     #: registered via :func:`repro.backends.register_backend`.  The
     #: default is the process-wide default backend (``reference``
     #: unless overridden with

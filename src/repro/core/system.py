@@ -299,7 +299,7 @@ class MultiChannelMemorySystem:
                 raise ConfigurationError(
                     f"backend {self.config.backend!r} does not support "
                     "protocol auditing (no command logs); use the "
-                    "'reference' or 'fast' backend"
+                    "'reference' or 'batch' backend"
                 )
             for violation in checker_factory().check(log):
                 problems.append(f"channel {index}: {violation}")

@@ -14,8 +14,8 @@ demands:
    confidence interval per answer;
 2. **analytic** -- the closed-form backend within its documented 15 %
    tolerance; milliseconds;
-3. **exact** -- a bit-identical backend (``batch``/``fast``/
-   ``reference``), bit-identical to :func:`~repro.analysis.sweep.sweep_use_case`
+3. **exact** -- a bit-identical backend (``batch``/``reference``),
+   bit-identical to :func:`~repro.analysis.sweep.sweep_use_case`
    by construction (it *is* a one-point sweep, run through the same
    cache), with the computed point folded back into the cache and the
    in-memory surface so the oracle gets cheaper as it serves.
@@ -81,7 +81,7 @@ DEFAULT_ACCURACY = 0.15
 #: Backends whose stored points may seed a surrogate surface -- all
 #: bit-identical to ``reference``, so a surface only ever interpolates
 #: between exact values.
-EXACT_BACKENDS: Tuple[str, ...] = ("reference", "fast", "batch")
+EXACT_BACKENDS: Tuple[str, ...] = ("reference", "batch")
 
 #: Telemetry counters the oracle exports (pre-registered at zero so a
 #: metrics dump shows them even before the first query).
@@ -185,9 +185,9 @@ class FeasibilityOracle:
     harvests points computed under the identical context.
 
     ``exact_backend`` pins the tier-3 backend (must be bit-identical);
-    the default prefers ``batch`` when numpy is available, else
-    ``fast``.  ``probe_channels`` x ``probe_freqs`` is the grid the
-    harvester looks up in the stores (defaults to the paper grid).
+    the default is ``batch``.  ``probe_channels`` x ``probe_freqs`` is
+    the grid the harvester looks up in the stores (defaults to the
+    paper grid).
 
     Thread-compatibility mirrors the rest of the package: one oracle
     per thread/process; the underlying cache is multi-process safe.

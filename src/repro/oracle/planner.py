@@ -13,7 +13,7 @@ analytic   the closed-form ``analytic`` backend  its registered
            (milliseconds)                        ``reference_tolerance``
                                                  (documented 15 %)
 exact      a bit-identical backend               0.0
-           (``batch``/``fast``/``reference``;
+           (``batch``/``reference``;
            tens of milliseconds and up)
 ========== ===================================== =====================
 
@@ -34,7 +34,6 @@ period may a low-fidelity estimate be before we discard the point".
 
 from __future__ import annotations
 
-import importlib.util
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -116,9 +115,8 @@ class CostPlanner:
     ``exact_backend`` pins the tier-3 backend; it must be registered
     and bit-identical (``reference_tolerance == 0.0``) -- the exact
     tier's contract is "indistinguishable from ``sweep_use_case``".
-    When ``None``, the planner prefers ``batch`` when numpy is
-    importable and falls back to ``fast`` (both bit-identical to
-    ``reference``).
+    When ``None``, the planner uses ``batch`` (bit-identical to
+    ``reference`` and the fastest exact backend).
     """
 
     def __init__(self, exact_backend: Optional[str] = None) -> None:
@@ -129,7 +127,7 @@ class CostPlanner:
                     f"exact tier needs a bit-identical backend, but "
                     f"{exact_backend!r} carries a "
                     f"{get_backend(exact_backend).reference_tolerance:.0%} "
-                    "tolerance; pick reference, fast or batch"
+                    "tolerance; pick reference or batch"
                 )
         self._exact_backend = exact_backend
 
@@ -137,9 +135,7 @@ class CostPlanner:
         """The backend the exact tier runs on."""
         if self._exact_backend is not None:
             return self._exact_backend
-        if importlib.util.find_spec("numpy") is not None:
-            return "batch"
-        return "fast"
+        return "batch"
 
     @staticmethod
     def analytic_tolerance() -> float:

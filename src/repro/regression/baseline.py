@@ -260,7 +260,7 @@ def capture_goldens(
     """Regenerate every artifact and package it as golden payloads.
 
     ``backend`` must be bit-identical to the reference (``reference``
-    or ``fast`` or a custom backend declaring
+    or ``batch`` or a custom backend declaring
     ``reference_tolerance == 0``): baselines captured under a
     screening backend would pin approximations, not the paper.
     """
@@ -594,7 +594,7 @@ def verify_paper(
 
     The chunk budget comes from the goldens' own provenance headers,
     so the comparison always re-runs the exact recipe that captured
-    the baselines.  A bit-identical backend (``reference``, ``fast``)
+    the baselines.  A bit-identical backend (``reference``, ``batch``)
     is held to the committed tolerances; a screening backend widens
     every metric by its declared
     :attr:`~repro.backends.base.ChannelBackend.reference_tolerance`

@@ -13,7 +13,7 @@ each backend under test:
 
 - a backend declaring
   :attr:`~repro.backends.base.ChannelBackend.reference_tolerance` of
-  ``0`` (``fast``) must be **bit-identical** -- access time, command
+  ``0`` (``batch``) must be **bit-identical** -- access time, command
   counters, per-channel finish cycles, bank accesses and power-state
   residencies all compared exactly;
 - a screening backend (``analytic``) must track the reference access
@@ -565,20 +565,15 @@ def run_fuzz(
     """Run a differential-fuzzing campaign.
 
     ``backends`` defaults to every built-in backend other than the
-    reference itself: ``fast``, ``analytic``, and -- when the numpy
-    optional extra is installed -- ``batch``.  ``check_invariants``
+    reference itself: ``batch`` and ``analytic``.  ``check_invariants``
     additionally evaluates the metamorphic oracles of
     :mod:`repro.regression.invariants` on every case.  ``telemetry``
     counts ``regression.cases`` and ``regression.mismatches``.
     """
-    import importlib.util
-
     from repro.regression.invariants import check_case_invariants
 
     if backends is None:
-        backends = ("fast", "analytic")
-        if importlib.util.find_spec("numpy") is not None:
-            backends = backends + ("batch",)
+        backends = ("batch", "analytic")
     from repro.backends.registry import get_backend
 
     resolved = {name: get_backend(name) for name in backends}
@@ -629,7 +624,7 @@ def run_fuzz(
     return report
 
 
-def run_repro(spec: str, backend: str = "fast") -> List[str]:
+def run_repro(spec: str, backend: str = "batch") -> List[str]:
     """Replay a repro string under ``backend``; returns discrepancies
     (empty = the repro no longer fails)."""
     return compare_case(parse_repro(spec), backend)

@@ -16,9 +16,10 @@ BUDGET = 50_000
 
 
 def _cycle_exact_default():
+    from repro.backends import get_backend
     from repro.backends.registry import default_backend_name
 
-    return default_backend_name() in ("reference", "fast")
+    return get_backend(default_backend_name()).bit_identical
 
 
 class TestMinimumChannels:

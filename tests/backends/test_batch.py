@@ -1,28 +1,29 @@
-"""Batch-backend specifics: numpy gating, decode cache, fallbacks.
+"""Batch-backend specifics: segment decode, decode cache, fallbacks.
 
 Cross-backend parity/registry/checkpoint behaviour lives in the
 sibling suites (parametrized over ``batch``); this file pins what is
-unique to the batch engine -- the optional-dependency error path, the
-cross-point decode cache, and the exact-fallback paths that delegate
-to the reference stepper.
+unique to the batch engine -- the segment decode, the cross-point
+decode cache, and the exact-fallback paths that delegate to the
+reference stepper.
 """
 
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 
 import hypothesis
 import pytest
 from hypothesis import strategies as st
 
-np = pytest.importorskip("numpy", reason="batch backend needs numpy")
-
 from repro.backends import batch as batch_module
 from repro.backends.registry import get_backend
-from repro.controller.mapping import AddressMultiplexing
+from repro.controller.mapping import AddressMapping, AddressMultiplexing
 from repro.core.channel import Channel
 from repro.core.config import PagePolicy, SystemConfig
-from repro.errors import AddressError, ConfigurationError
+from repro.errors import AddressError
 
 RUNS = [(0, 0, 512), (1, 4096, 512), (0, 64, 256)]
+
+GEOMETRY = SystemConfig().device.geometry
+MAX_CHUNK = GEOMETRY.capacity_bytes >> 4
 
 
 @pytest.fixture
@@ -32,24 +33,75 @@ def fresh_cache():
     batch_module.clear_decode_cache()
 
 
-class TestNumpyGating:
-    def test_create_without_numpy_raises_configuration_error(self, monkeypatch):
-        monkeypatch.setattr(batch_module, "_np", None)
-        with pytest.raises(ConfigurationError) as excinfo:
-            get_backend("batch").create(SystemConfig(backend="batch"))
-        message = str(excinfo.value)
-        assert "numpy" in message
-        assert "repro[batch]" in message
-        # The error must point at working alternatives.
-        for name in ("reference", "fast", "analytic"):
-            assert name in message
+def _seg_size(mapping):
+    shifts = [mapping.bank_shift, mapping.row_shift]
+    if mapping.xor_mask:
+        shifts.append(mapping.xor_shift)
+    return 1 << min(shifts)
 
-    def test_registry_entry_resolves_without_numpy(self, monkeypatch):
-        # Selecting the name must stay cheap and legal without numpy;
-        # only *creating* an engine requires the extra.
-        monkeypatch.setattr(batch_module, "_np", None)
-        config = SystemConfig(backend="batch")
-        assert config.backend == "batch"
+
+@st.composite
+def _runs_and_mapping(draw):
+    """A normalised run list plus the mapping it is decoded under.
+
+    Run lengths reach many 2**seg_shift blocks so segment splitting at
+    block boundaries (row crossings, bank rotations) is exercised, and
+    starts are arbitrary so head and tail segments are mostly partial.
+    """
+    mapping = AddressMapping.build(
+        GEOMETRY, draw(st.sampled_from(list(AddressMultiplexing)))
+    )
+    seg = _seg_size(mapping)
+    runs = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        count = draw(st.integers(min_value=1, max_value=12 * seg))
+        start = draw(st.integers(min_value=0, max_value=MAX_CHUNK - count))
+        op = draw(st.sampled_from((0, 1)))
+        arrival = draw(st.integers(min_value=0, max_value=10**7))
+        runs.append((op, start, count, arrival))
+    return tuple(runs), mapping
+
+
+class TestSegmentDecode:
+    """The segment table is a lossless run-length view of the per-access
+    decode the reference engine performs burst by burst."""
+
+    @hypothesis.settings(max_examples=80, deadline=None)
+    @hypothesis.given(case=_runs_and_mapping())
+    def test_segments_match_reference_decode(self, case):
+        runs, mapping = case
+        seg = _seg_size(mapping)
+        decoded = batch_module._decode_stream(runs, mapping)
+
+        expected = [
+            (op, *mapping.decode_chunk(chunk))
+            for op, start, count, _ in runs
+            for chunk in range(start, start + count)
+        ]
+        expanded = [
+            (op, bank, row)
+            for op, bank, row, count, _ in decoded.segments
+            for _ in range(count)
+        ]
+        assert expanded == expected
+
+        # One segment per (run, 2**seg_shift block), cut exactly at the
+        # block or run end; the arrival sits on the run-head segment only.
+        cuts = []
+        for _, start, count, arrival in runs:
+            lo = start
+            while lo < start + count:
+                hi = min((lo // seg + 1) * seg, start + count)
+                cuts.append((hi - lo, arrival if lo == start else -1))
+                lo = hi
+        assert [(s[3], s[4]) for s in decoded.segments] == cuts
+
+        assert decoded.n_rd == sum(1 for op, _, _ in expected if op == 0)
+        assert decoded.n_wr == sum(1 for op, _, _ in expected if op == 1)
+        banks = Counter(bank for _, bank, _ in expected)
+        assert decoded.bank_counts == tuple(
+            banks[b] for b in range(mapping.bank_mask + 1)
+        )
 
 
 class TestDecodeCache:

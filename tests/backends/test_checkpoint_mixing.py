@@ -44,14 +44,13 @@ class TestBackendMixingGuard:
         path = tmp_path / "sweep.ckpt"
         _sweep(level, configs, path, backend="reference")
         with pytest.raises(CheckpointError) as excinfo:
-            _sweep(level, configs, path, backend="fast")
+            _sweep(level, configs, path, backend="batch")
         message = str(excinfo.value)
         assert "reference" in message
-        assert "fast" in message
+        assert "batch" in message
         assert "--force" in message or "checkpoint_force" in message
 
     def test_mixing_refusal_names_batch(self, tmp_path, level, configs):
-        pytest.importorskip("numpy", reason="batch backend needs numpy")
         path = tmp_path / "sweep.ckpt"
         _sweep(level, configs, path, backend="batch")
         with pytest.raises(CheckpointError) as excinfo:
@@ -64,7 +63,7 @@ class TestBackendMixingGuard:
         path = tmp_path / "sweep.ckpt"
         _sweep(level, configs, path, backend="reference")
         report = _sweep(
-            level, configs, path, backend="fast", checkpoint_force=True
+            level, configs, path, backend="batch", checkpoint_force=True
         )
         assert len(report.points) == 1
 
@@ -74,10 +73,26 @@ class TestBackendMixingGuard:
         points."""
         path = tmp_path / "sweep.ckpt"
         ref = _sweep(level, configs, path, backend="reference")
-        fast = _sweep(
-            level, configs, path, backend="fast", checkpoint_force=True
+        batch = _sweep(
+            level, configs, path, backend="batch", checkpoint_force=True
         )
         # Bit-identical backends, but independently keyed entries.
-        assert fast.points[0].access_time_ms == ref.points[0].access_time_ms
+        assert batch.points[0].access_time_ms == ref.points[0].access_time_ms
         entries = path.read_text().strip().splitlines()
         assert len(entries) == 2
+
+    def test_checkpoint_recorded_under_retired_backend_refused(
+        self, tmp_path, level, configs
+    ):
+        """Checkpoints written under the retired ``fast`` backend meet
+        the same cross-backend guard as any other foreign backend."""
+        path = tmp_path / "sweep.ckpt"
+        _sweep(level, configs, path, backend="reference")
+        path.write_text(
+            path.read_text().replace('"backend": "reference"', '"backend": "fast"')
+        )
+        with pytest.raises(CheckpointError) as excinfo:
+            _sweep(level, configs, path, backend="batch")
+        message = str(excinfo.value)
+        assert "fast" in message
+        assert "batch" in message

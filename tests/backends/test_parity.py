@@ -1,23 +1,17 @@
-"""Backend parity: fast/batch vs reference (exact), analytic (tolerance).
+"""Backend parity: batch vs reference (exact), analytic (tolerance).
 
 The contracts pinned here are the ones docs/architecture.md (Backends)
 documents:
 
-- ``fast`` and ``batch`` return *identical command counts* and access
-  time within 1 % of ``reference`` (both are in fact designed to be
-  bit-identical -- one test class pins the stronger property on a full
-  streaming frame);
+- ``batch`` returns *identical command counts* and access time within
+  1 % of ``reference`` (it is in fact designed to be bit-identical --
+  one test class pins the stronger property on a full streaming
+  frame);
 - ``analytic`` tracks the reference access time within 15 % on the
   paper's streaming workloads;
 - all hold across the Fig. 3 frequency sweep and the Fig. 4 format
   sweep configurations.
-
-``batch`` needs numpy (the ``repro[batch]`` extra); its cases skip
-when numpy is absent rather than fail, matching the optional-extra
-contract.
 """
-
-import importlib.util
 
 import pytest
 
@@ -37,13 +31,8 @@ PARITY_BUDGET = 20_000
 #: Documented analytic access-time tolerance (docs/architecture.md).
 ANALYTIC_TOLERANCE = 0.15
 
-needs_numpy = pytest.mark.skipif(
-    importlib.util.find_spec("numpy") is None,
-    reason="batch backend needs the numpy optional extra",
-)
-
 #: The backends documented as bit-identical to the reference.
-EXACT_BACKENDS = ["fast", pytest.param("batch", marks=needs_numpy)]
+EXACT_BACKENDS = ["batch"]
 
 _TRAFFIC_CACHE = {}
 _RESULT_CACHE = {}
@@ -124,8 +113,8 @@ class TestAnalyticParity:
 
 @pytest.mark.parametrize("backend", EXACT_BACKENDS)
 class TestBitIdentity:
-    """The stronger property the design actually delivers: fast and
-    batch apply their shortcuts only when provably exact, so whole
+    """The stronger property the design actually delivers: batch
+    applies its shortcuts only when provably exact, so whole
     results -- finish cycles, per-bank balance, power-state residencies
     -- match the reference bit for bit."""
 

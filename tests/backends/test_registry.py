@@ -1,5 +1,7 @@
 """Backend registry: discovery, registration, defaults, error paths."""
 
+import re
+
 import pytest
 
 from repro.backends import (
@@ -12,14 +14,16 @@ from repro.backends import (
 )
 from repro.backends.registry import default_backend_name, validate_backend_name
 from repro.core.config import SystemConfig
+from repro.core.system import MultiChannelMemorySystem
 from repro.errors import ConfigurationError
 
 
 class TestBuiltins:
     def test_builtins_listed(self):
         names = available_backends()
-        for name in ("reference", "fast", "analytic", "batch"):
+        for name in ("reference", "analytic", "batch"):
             assert name in names
+        assert "fast" not in names
 
     def test_get_backend_caches(self):
         assert get_backend("reference") is get_backend("reference")
@@ -28,9 +32,6 @@ class TestBuiltins:
         ref = get_backend("reference")
         assert ref.name == "reference"
         assert ref.supports_command_log
-        fast = get_backend("fast")
-        assert fast.name == "fast"
-        assert fast.supports_command_log
         analytic = get_backend("analytic")
         assert analytic.name == "analytic"
         assert not analytic.supports_command_log
@@ -52,7 +53,7 @@ class TestErrorPaths:
             get_backend("warp-drive")
         message = str(excinfo.value)
         assert "warp-drive" in message
-        for name in ("reference", "fast", "analytic", "batch"):
+        for name in ("reference", "analytic", "batch"):
             assert name in message
 
     def test_validate_rejects_non_string(self):
@@ -68,6 +69,31 @@ class TestErrorPaths:
     def test_set_default_rejects_unknown(self):
         with pytest.raises(ConfigurationError):
             set_default_backend("nope")
+
+
+def _analytic_command_log():
+    config = SystemConfig(channels=1, backend="analytic")
+    get_backend("analytic").create(config).run([(0, 0, 16)], command_log=[])
+
+
+def _analytic_audit():
+    MultiChannelMemorySystem(SystemConfig(channels=1, backend="analytic")).audit([[]])
+
+
+@pytest.mark.parametrize(
+    "trigger", [_analytic_command_log, _analytic_audit], ids=["run", "audit"]
+)
+def test_command_log_advice_names_capable_backends(trigger):
+    """The errors a command-log request hits on a backend that cannot
+    log recommend only registered backends that can."""
+    with pytest.raises(ConfigurationError) as excinfo:
+        trigger()
+    advice = str(excinfo.value).rsplit(" the ", 1)[-1]
+    suggested = re.findall(r"'([^']+)'", advice)
+    assert suggested
+    for name in suggested:
+        assert name in available_backends()
+        assert get_backend(name).supports_command_log
 
 
 class _TinyBackend(ChannelBackend):
@@ -100,16 +126,16 @@ class TestRegistration:
             unregister_backend("tiny")
 
     def test_default_backend_roundtrip(self):
-        previous = set_default_backend("fast")
+        previous = set_default_backend("batch")
         try:
-            assert default_backend_name() == "fast"
-            assert SystemConfig().backend == "fast"
+            assert default_backend_name() == "batch"
+            assert SystemConfig().backend == "batch"
         finally:
             set_default_backend(previous)
 
     def test_with_backend_returns_new_config(self):
         base = SystemConfig(channels=4)
-        fast = base.with_backend("fast")
-        assert fast.backend == "fast"
-        assert fast.channels == base.channels
-        assert base.backend != "fast" or base is not fast
+        batch = base.with_backend("batch")
+        assert batch.backend == "batch"
+        assert batch.channels == base.channels
+        assert base.backend != "batch" or base is not batch

@@ -25,7 +25,7 @@ def pytest_addoption(parser):
         metavar="NAME",
         help=(
             "Run the suite with NAME as the default simulation backend "
-            "(reference, fast, analytic, batch, or any registered name). "
+            "(reference, batch, analytic, or any registered name). "
             "Every "
             "SystemConfig built without an explicit backend= picks it up; "
             "the CI backend matrix drives the smoke subset through this."

@@ -16,7 +16,7 @@ SCALE = 1 / 256
 GRID_FREQS = (200.0, 266.0, 333.0, 400.0)
 
 
-def _warm_cache(directory, channels=(1, 2), backend="fast", workload=None):
+def _warm_cache(directory, channels=(1, 2), backend="batch", workload=None):
     cache = ResultCache(directory)
     configs = [
         SystemConfig(channels=m, freq_mhz=f)
@@ -67,7 +67,7 @@ class TestHarvest:
             [SystemConfig(channels=2, freq_mhz=f) for f in GRID_FREQS],
             scale=SCALE,
             checkpoint=checkpoint,
-            backend="fast",
+            backend="batch",
         )
         oracle = FeasibilityOracle(checkpoints=[checkpoint], scale=SCALE)
         assert oracle.warm(LEVEL) == len(GRID_FREQS)
@@ -89,7 +89,7 @@ class TestQueryTiers:
             [LEVEL],
             [SystemConfig(channels=2, freq_mhz=266.0)],
             scale=SCALE,
-            backend="fast",
+            backend="batch",
         )[0]
         assert _diff_exact(answer.point.result, fresh.result) == []
         assert answer.access_time_ms == fresh.access_time_ms
@@ -113,7 +113,7 @@ class TestQueryTiers:
             [LEVEL],
             [SystemConfig(channels=2, freq_mhz=300.0)],
             scale=SCALE,
-            backend="fast",
+            backend="batch",
         )[0]
         assert answer.access_low_ms <= truth.access_time_ms <= answer.access_high_ms
 

@@ -54,7 +54,7 @@ class TestSingleQuery:
             [SystemConfig(channels=2, freq_mhz=f) for f in (266.0, 333.0)],
             scale=1 / 256,
             checkpoint=checkpoint,
-            backend="fast",
+            backend="batch",
         )
         assert len(SweepCheckpoint(checkpoint)) == 2
         assert main(["--scale", SCALE, "--checkpoint", str(checkpoint),

@@ -1,6 +1,5 @@
 """Tests for the cost-based planner (:mod:`repro.oracle.planner`)."""
 
-import importlib.util
 import math
 
 import pytest
@@ -96,20 +95,16 @@ class TestBudgetValidation:
 
 
 class TestExactBackend:
-    def test_default_prefers_batch_when_numpy_present(self):
-        expected = (
-            "batch"
-            if importlib.util.find_spec("numpy") is not None
-            else "fast"
-        )
-        assert CostPlanner().resolve_exact_backend() == expected
+    def test_default_is_batch(self):
+        assert CostPlanner().resolve_exact_backend() == "batch"
 
     def test_explicit_backend_honoured(self):
         assert CostPlanner("reference").resolve_exact_backend() == "reference"
 
     def test_analytic_refused_as_exact_tier(self):
-        with pytest.raises(ConfigurationError, match="bit-identical"):
+        with pytest.raises(ConfigurationError, match="bit-identical") as excinfo:
             CostPlanner("analytic")
+        assert "pick reference or batch" in str(excinfo.value)
 
     def test_unknown_backend_refused(self):
         with pytest.raises(ConfigurationError):

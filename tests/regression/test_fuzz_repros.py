@@ -58,13 +58,8 @@ class TestAlternatingBankAlias:
     def test_batch_backend_stays_bit_identical_on_repro(self):
         # The case came out of a batch-vs-reference campaign; parity
         # must hold on it regardless of the invariant-domain fix.
-        import importlib.util
         from dataclasses import replace
 
-        import pytest
-
-        if importlib.util.find_spec("numpy") is None:
-            pytest.skip("batch backend needs numpy")
         for channels in (2, 4):
             case = parse_repro(ALTERNATING_BANK_ALIAS)
             case = replace(case, config=case.config.with_channels(channels))
@@ -79,8 +74,8 @@ class TestWorkloadCampaignStaysClean:
     analytic and batch vs the reference (639/644/637 differential
     checks, zero mismatches, zero invariant violations).  No repro to
     pin; this guard replays the workload-kind cases of one pinned
-    seed-window under the always-available bit-identical backend so a
-    zoo or load-model regression surfaces here first."""
+    seed-window under the bit-identical batch backend so a zoo or
+    load-model regression surfaces here first."""
 
     def test_workload_cases_of_seed_5_stay_clean(self):
         from repro.regression.fuzzer import generate_case
@@ -91,6 +86,6 @@ class TestWorkloadCampaignStaysClean:
             if case.kind != "workload":
                 continue
             checked += 1
-            mismatches = compare_case(case, "fast")
+            mismatches = compare_case(case, "batch")
             assert mismatches == [], (case.describe(), mismatches)
         assert checked >= 5  # the kind is actually being sampled

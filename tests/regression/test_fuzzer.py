@@ -120,9 +120,9 @@ def off_by_one_backend():
 
 
 class TestDifferentialChecks:
-    def test_fast_backend_agrees(self):
+    def test_batch_backend_agrees(self):
         for case in generate_cases(3, 5):
-            assert compare_case(case, "fast") == []
+            assert compare_case(case, "batch") == []
 
     def test_off_by_one_backend_caught(self, off_by_one_backend):
         case = generate_case(3, 0)
@@ -200,16 +200,13 @@ class TestShrinking:
 
 class TestCampaign:
     def test_clean_tree_campaign_passes(self):
-        import importlib.util
-
         telemetry = Telemetry.enabled()
         report = run_fuzz(cases=10, seed=1, telemetry=telemetry)
         assert report.passed, report.format()
         assert report.cases == 10
         # Every (case, default backend) pair is either checked or
-        # screening-skipped; batch joins the default set with numpy.
-        defaults = 2 + (importlib.util.find_spec("numpy") is not None)
-        assert report.checks + report.skipped_screening == 10 * defaults
+        # screening-skipped; the defaults are batch and analytic.
+        assert report.checks + report.skipped_screening == 10 * 2
         counters = telemetry.registry.as_dict()["counters"]
         assert counters["regression.cases"] == 10
         assert counters["regression.mismatches"] == 0
@@ -241,7 +238,7 @@ class TestCampaign:
         # Replaying a repro string against a correct backend returns no
         # discrepancies -- the workflow for confirming a fix.
         case = generate_case(6, 0)
-        assert run_repro(case.repro(), "fast") == []
+        assert run_repro(case.repro(), "batch") == []
 
     def test_no_shrink_keeps_original_case(self, off_by_one_backend):
         report = run_fuzz(

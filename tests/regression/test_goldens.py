@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.backends.registry import default_backend_name
 from repro.errors import RegressionError
 from repro.regression import (
     GOLDEN_ARTIFACTS,
@@ -224,7 +225,7 @@ class TestCaptureAndVerify:
         telemetry = Telemetry.enabled()
         verification = verify_paper(telemetry=telemetry)
         assert verification.passed, verification.format()
-        assert verification.backend == "reference"
+        assert verification.backend == default_backend_name()
         counters = telemetry.registry.as_dict()["counters"]
         assert counters["regression.cases"] == verification.cells_checked
         assert counters["regression.mismatches"] == 0

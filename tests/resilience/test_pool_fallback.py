@@ -4,14 +4,13 @@
 answer -- only a :class:`~repro.parallel.PoolFallbackWarning` tells
 the caller parallelism was lost.  The three documented fallback
 reasons are pinned here, each against real simulations parametrized
-over all four backends:
+over all three backends:
 
 - the mapped function cannot cross the process boundary (a lambda);
 - the job items cannot cross the process boundary;
 - the pool itself fails to start (``OSError`` from the executor).
 """
 
-import importlib.util
 import pickle
 
 import pytest
@@ -23,17 +22,7 @@ from repro.parallel import PoolFallbackWarning, parallel_map
 from repro.resilience.retry import NO_RETRY
 from repro.usecase.levels import level_by_name
 
-needs_numpy = pytest.mark.skipif(
-    importlib.util.find_spec("numpy") is None,
-    reason="batch backend needs the numpy optional extra",
-)
-
-ALL_BACKENDS = [
-    "reference",
-    "fast",
-    pytest.param("batch", marks=needs_numpy),
-    "analytic",
-]
+ALL_BACKENDS = ["reference", "batch", "analytic"]
 
 BUDGET = 2000
 LEVEL = level_by_name("3.1")

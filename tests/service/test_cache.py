@@ -203,7 +203,8 @@ class TestSweepIntegration:
             "from repro.usecase.levels import level_by_name\n"
             "report = sweep_use_case([level_by_name('3.1')],"
             f" [SystemConfig(channels=1), SystemConfig(channels=2)],"
-            f" scale={SCALE!r}, cache={str(cache_dir)!r})\n"
+            f" scale={SCALE!r}, cache={str(cache_dir)!r},"
+            " backend='reference')\n"
             "assert report.cached == 0, report.cached\n"
         )
         subprocess.run(
@@ -213,16 +214,21 @@ class TestSweepIntegration:
             check=True,
         )
         warm = sweep_use_case(
-            self.LEVELS, self.CONFIGS, scale=SCALE, cache=cache_dir
+            self.LEVELS, self.CONFIGS, scale=SCALE, cache=cache_dir,
+            backend="reference",
         )
         assert warm.cached == 2
 
     def test_changing_any_key_ingredient_misses(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        sweep_use_case(self.LEVELS, self.CONFIGS, scale=SCALE, cache=cache)
+        sweep_use_case(
+            self.LEVELS, self.CONFIGS, scale=SCALE, cache=cache,
+            backend="reference",
+        )
         # Different config field.
         report = sweep_use_case(
-            self.LEVELS, [SystemConfig(channels=4)], scale=SCALE, cache=cache
+            self.LEVELS, [SystemConfig(channels=4)], scale=SCALE, cache=cache,
+            backend="reference",
         )
         assert report.cached == 0
         # Different backend, same grid.
@@ -231,13 +237,14 @@ class TestSweepIntegration:
             self.CONFIGS,
             scale=SCALE,
             cache=cache,
-            backend="fast",
+            backend="batch",
         )
         assert report.cached == 0
         # Same grid again: still warm (the misses above wrote entries,
         # they did not clobber the originals).
         report = sweep_use_case(
-            self.LEVELS, self.CONFIGS, scale=SCALE, cache=cache
+            self.LEVELS, self.CONFIGS, scale=SCALE, cache=cache,
+            backend="reference",
         )
         assert report.cached == 2
 

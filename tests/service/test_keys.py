@@ -92,15 +92,15 @@ class TestCanonicalKey:
         assert canonical_key(base) != canonical_key(base.with_channels(4))
 
     def test_backend_change_changes_key(self):
-        base = SystemConfig(channels=2)
-        assert canonical_key(base) != canonical_key(base.with_backend("fast"))
+        base = SystemConfig(channels=2, backend="reference")
+        assert canonical_key(base) != canonical_key(base.with_backend("batch"))
 
     def test_stable_across_processes(self):
         """The key must be a pure content function -- no hash salting,
         no repr drift -- so a second process computes the same digest."""
         description = {
             "kind": "sweep-point",
-            "config": SystemConfig(channels=4, freq_mhz=333.0),
+            "config": SystemConfig(channels=4, freq_mhz=333.0, backend="reference"),
             "level": level_by_name("3.1"),
         }
         script = (
@@ -108,7 +108,8 @@ class TestCanonicalKey:
             "from repro.core.config import SystemConfig\n"
             "from repro.usecase.levels import level_by_name\n"
             "print(canonical_key({'kind': 'sweep-point',"
-            " 'config': SystemConfig(channels=4, freq_mhz=333.0),"
+            " 'config': SystemConfig(channels=4, freq_mhz=333.0,"
+            " backend='reference'),"
             " 'level': level_by_name('3.1')}))\n"
         )
         remote = subprocess.run(
@@ -158,9 +159,9 @@ class TestJobKeys:
 
     def test_description_surfaces_backend(self):
         description = _job_description(
-            self._job(0, SystemConfig(channels=2, backend="fast"))
+            self._job(0, SystemConfig(channels=2, backend="batch"))
         )
-        assert description["backend"] == "fast"
+        assert description["backend"] == "batch"
         assert "index" not in description
 
     def test_checkpoint_key_is_canonical_key(self):

@@ -210,12 +210,12 @@ class TestTelemetryFlags:
 
 
 class TestBackendFlags:
-    def test_backend_fast_artifact_identical(self, capsys, fast_args):
+    def test_backend_batch_artifact_identical(self, capsys, fast_args):
         assert main(fast_args + ["fig3"]) == 0
         reference = capsys.readouterr().out
-        assert main(fast_args + ["--backend", "fast", "fig3"]) == 0
-        fast = capsys.readouterr().out
-        assert fast == reference
+        assert main(fast_args + ["--backend", "batch", "fig3"]) == 0
+        batch = capsys.readouterr().out
+        assert batch == reference
 
     def test_backend_analytic_runs(self, capsys, fast_args):
         assert main(fast_args + ["--backend", "analytic", "fig3"]) == 0
@@ -231,6 +231,16 @@ class TestBackendFlags:
         message = str(excinfo.value)
         assert "nope" in message
         assert "reference" in message
+
+    def test_retired_fast_backend_rejected_as_unknown(self):
+        from repro.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError) as excinfo:
+            main(["--backend", "fast", "table1"])
+        message = str(excinfo.value)
+        assert "unknown backend 'fast'" in message
+        for name in ("analytic", "batch", "reference"):
+            assert name in message
 
     def test_unknown_prescreen_rejected(self):
         from repro.errors import ConfigurationError
@@ -262,12 +272,12 @@ class TestBackendFlags:
 
         path = tmp_path / "metrics.json"
         assert main(
-            fast_args + ["--backend", "fast", "--metrics-out", str(path),
+            fast_args + ["--backend", "batch", "--metrics-out", str(path),
                          "fig3"]
         ) == 0
         payload = json.loads(path.read_text(encoding="utf-8"))
-        assert payload["backend"] == "fast"
-        assert payload["counters"]["sweep.backend.fast"] > 0
+        assert payload["backend"] == "batch"
+        assert payload["counters"]["sweep.backend.batch"] > 0
 
     def test_explore_prescreen(self, capsys):
         assert main(
@@ -325,7 +335,7 @@ class TestRegressionSubcommands:
 
     def test_fuzz_single_backend_no_invariants(self, capsys):
         assert main(
-            ["--backend", "fast", "fuzz", "--cases", "5", "--no-invariants"]
+            ["--backend", "batch", "fuzz", "--cases", "5", "--no-invariants"]
         ) == 0
         assert "PASS" in capsys.readouterr().out
 
@@ -334,7 +344,9 @@ class TestRegressionSubcommands:
 
         spec = generate_case(6, 0).repro()
         assert main(["fuzz", "--repro", spec]) == 0
-        assert "PASS" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "Repro replay under backend=batch" in out
+        assert "PASS" in out
 
     def test_fuzz_metrics_out(self, tmp_path, capsys):
         import json

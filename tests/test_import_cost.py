@@ -73,3 +73,45 @@ class TestLazyFacade:
             "print('run_fig3' in d, 'SystemConfig' in d)"
         )
         assert out.strip() == "True True"
+
+
+class TestStdlibOnlyBatch:
+    def test_batch_runs_with_numpy_blocked(self):
+        # ``sys.modules[name] = None`` makes any ``import numpy`` raise,
+        # so this proves the batch engine needs nothing beyond the
+        # standard library -- and still matches the reference exactly.
+        out = _fresh_python(
+            "import sys, json\n"
+            "sys.modules['numpy'] = None\n"
+            "from repro.analysis.sweep import simulate_use_case\n"
+            "from repro.core.config import SystemConfig\n"
+            "from repro.usecase.levels import level_by_name\n"
+            "level = level_by_name('3.1')\n"
+            "points = [\n"
+            "    simulate_use_case(level, SystemConfig(channels=2, backend=b),\n"
+            "                      chunk_budget=5000)\n"
+            "    for b in ('reference', 'batch')\n"
+            "]\n"
+            "print(json.dumps({\n"
+            "    'equal': points[0].access_time_ms == points[1].access_time_ms\n"
+            "    and points[0].result.channels == points[1].result.channels,\n"
+            "    'numpy': [m for m in sys.modules\n"
+            "              if m == 'numpy' or m.startswith('numpy.')\n"
+            "              if sys.modules[m] is not None],\n"
+            "}))\n"
+        )
+        report = json.loads(out)
+        assert report == {"equal": True, "numpy": []}
+
+    def test_batch_simulation_never_imports_numpy(self):
+        out = _fresh_python(
+            "import sys\n"
+            "from repro.analysis.sweep import simulate_use_case\n"
+            "from repro.core.config import SystemConfig\n"
+            "from repro.usecase.levels import level_by_name\n"
+            "simulate_use_case(level_by_name('3.1'),\n"
+            "                  SystemConfig(channels=2, backend='batch'),\n"
+            "                  chunk_budget=5000)\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        assert out.strip() == "False"
