@@ -193,7 +193,7 @@ def _job_description(job: SweepJob) -> Dict[str, object]:
     a pure function of (level, config, scale, budget, block size), so
     the same configuration must share stored work no matter where it
     sits in which grid (the Fig. 3 and Fig. 4/5 runners, the explorer
-    and ad-hoc service sweeps all hit the same entries).  The
+    and the ``sweep`` subcommand all hit the same entries).  The
     simulation ``backend`` is surfaced explicitly alongside the config
     (which also carries it) so the key contract -- "changing the
     backend misses" -- is visible in the payload, and the engine

@@ -71,10 +71,10 @@ Fault tolerance (see :mod:`repro.resilience`):
   then exits non-zero to flag the damaged store, under ``--no-strict``
   it is tolerated silently.
 - ``sweep`` runs an ad-hoc (levels x channels x frequencies) grid
-  through the sharded sweep service (:mod:`repro.service`): the grid
-  is partitioned into work units and dispatched to the local executor
-  (``--shard-size``, ``--max-inflight``), folding through the same
-  checkpoint/cache stores as every figure.
+  through :func:`~repro.analysis.sweep.sweep_use_case`, the same
+  engine as every figure: the same checkpoint/cache stores, the same
+  ``--workers``/``--point-timeout`` supervision and the same
+  ``--metrics-out`` telemetry.
 - ``--check-invariants`` audits every simulated command stream against
   the DRAM datasheet timing (slower; a validation mode).
 - ``chaos`` runs the seeded chaos campaign: a real sweep under
@@ -151,7 +151,6 @@ from repro.analysis.export import (
 )
 from repro.core.config import SystemConfig
 from repro.resilience import SweepCheckpoint
-from repro.service.executor import DEFAULT_SHARD_SIZE
 from repro.telemetry import StreamProgressSink, Telemetry, write_metrics
 from repro.usecase.levels import level_by_name
 
@@ -469,7 +468,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "sweep",
         help=(
             "run an ad-hoc (levels x channels x frequencies) grid "
-            "through the sharded sweep service"
+            "through the same sweep engine as every figure"
         ),
     )
     p_sw.add_argument(
@@ -492,23 +491,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="200,266,333,400",
         metavar="LIST",
         help="comma-separated interface clocks, MHz (default: 200,266,333,400)",
-    )
-    p_sw.add_argument(
-        "--shard-size",
-        type=int,
-        default=DEFAULT_SHARD_SIZE,
-        metavar="N",
-        help=(
-            "sweep points per work unit dispatched to the executor "
-            f"(default: {DEFAULT_SHARD_SIZE})"
-        ),
-    )
-    p_sw.add_argument(
-        "--max-inflight",
-        type=int,
-        default=4,
-        metavar="N",
-        help="work units in flight concurrently (default: 4)",
     )
 
     p_q = sub.add_parser(
@@ -893,7 +875,7 @@ def _run_command(args: argparse.Namespace) -> Tuple[List[str], int]:
         if not report.passed:
             exit_code = 1
     if command == "sweep":
-        from repro.service import LocalExecutor, run_service_sweep
+        from repro.analysis.sweep import sweep_use_case
         from repro.analysis.tables import format_table
 
         levels = [
@@ -902,47 +884,19 @@ def _run_command(args: argparse.Namespace) -> Tuple[List[str], int]:
         ]
         channel_counts = _split_csv(args.channels, int, "--channels")
         freqs = _split_csv(args.freqs, float, "--freqs")
-        invariants_kw = (
-            {"check_invariants": True} if args.check_invariants else {}
-        )
+        base = kwargs.pop("base_config", SystemConfig(**backend_kw))
         configs = [
-            SystemConfig(
-                channels=m, freq_mhz=f, **invariants_kw, **backend_kw
-            )
+            base.with_channels(m).with_frequency(f)
             for f in freqs
             for m in channel_counts
         ]
-        executor = LocalExecutor(
-            workers=args.workers, point_timeout=args.point_timeout
-        )
-        service_kwargs = {}
-        if args.scale is not None:
-            service_kwargs["scale"] = args.scale
-        if args.budget is not None:
-            service_kwargs["chunk_budget"] = args.budget
-        report = run_service_sweep(
-            levels,
-            configs,
-            executor=executor,
-            shard_size=args.shard_size,
-            max_inflight=args.max_inflight,
-            checkpoint=kwargs.get("checkpoint"),
-            cache=cache_store,
-            strict=args.strict,
-            telemetry=telemetry,
-            progress=kwargs.get("progress"),
-            checkpoint_force=args.force,
-            durable_checkpoint=args.durable_checkpoint,
-            **service_kwargs,
-            **workload_kw,
-        )
+        report = sweep_use_case(levels, configs, **kwargs)
         workload_note = (
             "" if bound_workload is None else f" [{bound_workload.name}]"
         )
         sections.append(
-            f"== Service sweep: {len(levels)} level(s) x "
-            f"{len(configs)} config(s) via {executor.describe()}"
-            f"{workload_note} =="
+            f"== Sweep: {len(levels)} level(s) x "
+            f"{len(configs)} config(s){workload_note} =="
         )
         rows = [["Level", "Channels", "Clock [MHz]", "Access [ms]", "Verdict"]]
         for point in report:

@@ -6,17 +6,19 @@ A surface holds, per channel count, the exact-tier
 the result cache and/or sweep checkpoints -- and answers off-grid
 frequency queries by interpolation.
 
-The physics makes this rigorous rather than hopeful: at a fixed
-channel count the frame's access time is monotonically decreasing in
-the interface clock (more cycles per second, same cycle count to first
-order), so two bracketing grid points bound the true value.  The
-estimate interpolates access time linearly in ``1/f`` (access time is
-close to ``cycles / f``, so it is near-linear in the period) and power
-linearly in ``f``; the *confidence interval* is simply the bracketing
-points' value range, widened to ``[min, max]`` if the data happens to
-be locally non-monotone -- the interval never relies on the
-monotonicity assumption being true, only the point estimate's
-placement does.
+The estimate interpolates access time linearly in ``1/f`` (access
+time is close to ``cycles / f``, so it is near-linear in the period)
+and power linearly in ``f``.  The *confidence interval* is the two
+bracketing grid points' value range, ``[min, max]``.  That interval
+holds only if access time is monotone in the clock *between* the grid
+points, and the timing algebra does not guarantee it: every timing
+parameter re-rounds through ``ceil(t_ns * f)``, so a slightly faster
+clock can cost a whole extra cycle on some constraint and finish the
+frame later (see :mod:`repro.regression.invariants`, frequency
+monotonicity).  An off-grid answer can therefore fall outside its own
+interval: ``h264_camcorder`` level 4 on 2 channels at 334.1 MHz
+(``chunk_budget=20000``) simulates to 34.23 ms, above the 33.91 ms
+the 333 MHz grid point gives as the interval's upper end.
 
 Surfaces never extrapolate (a query outside the harvested frequency
 range, or at a channel count with fewer than two distinct

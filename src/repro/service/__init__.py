@@ -1,53 +1,13 @@
-"""Sweep-as-a-service: sharded coordination and the persistent result
-cache.
+"""The persistent result cache shared by every sweep.
 
-- :mod:`repro.service.cache` -- content-addressed on-disk store of
-  completed sweep points, keyed by :func:`repro.keys.canonical_key`.
-- :mod:`repro.service.executor` -- work units and the executor
-  interface (local today, remote-ready by contract).
-- :mod:`repro.service.coordinator` -- the async coordinator that
-  partitions grids into units and folds streamed outcomes through the
-  checkpoint/cache/telemetry stores.
-
-Attribute access is lazy (PEP 562): the coordinator imports the sweep
-engine, and the sweep engine imports :mod:`repro.service.cache`, so an
-eager ``from .coordinator import ...`` here would turn that chain into
-an import cycle.  ``from repro.service import SweepCoordinator`` still
-works -- it just resolves on first touch.
+:mod:`repro.service.cache` is a content-addressed on-disk store of
+completed sweep points, keyed by :func:`repro.keys.canonical_key` --
+the same key the sweep checkpoint uses, so every figure, the explorer,
+the ``sweep`` subcommand and the feasibility oracle share stored work.
 """
 
 from __future__ import annotations
 
-from typing import List
+from .cache import CacheWarning, ResultCache, resolve_cache
 
-_EXPORTS = {
-    "CacheWarning": "repro.service.cache",
-    "ResultCache": "repro.service.cache",
-    "resolve_cache": "repro.service.cache",
-    "DEFAULT_SHARD_SIZE": "repro.service.executor",
-    "Executor": "repro.service.executor",
-    "LocalExecutor": "repro.service.executor",
-    "WorkUnit": "repro.service.executor",
-    "partition": "repro.service.executor",
-    "DEFAULT_MAX_INFLIGHT": "repro.service.coordinator",
-    "SweepCoordinator": "repro.service.coordinator",
-    "run_service_sweep": "repro.service.coordinator",
-}
-
-__all__ = sorted(_EXPORTS)
-
-
-def __getattr__(name: str):
-    try:
-        module_name = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
-
-
-def __dir__() -> List[str]:
-    return sorted(set(globals()) | set(_EXPORTS))
+__all__ = ["CacheWarning", "ResultCache", "resolve_cache"]

@@ -479,13 +479,67 @@ class TestSweepCommand:
         ]
         assert main(args) == 0
         cold = capsys.readouterr().out
-        assert "Service sweep: 1 level(s) x 4 config(s)" in cold
-        assert "LocalExecutor" in cold
+        assert "== Sweep: 1 level(s) x 4 config(s) ==" in cold
         assert "4 write(s)" in cold
         assert main(args) == 0
         warm = capsys.readouterr().out
         assert "4 served from cache" in warm
         assert "4 hit(s)" in warm
+
+    def test_sweep_metrics_match_engine_sweep(self, tmp_path, fast_args):
+        # ``sweep`` exports exactly what a telemetry-enabled
+        # ``sweep_use_case`` over the same grid records: per-point
+        # engine/system counters and the full phase profile included.
+        import json
+
+        from repro.analysis.sweep import sweep_use_case
+        from repro.core.config import SystemConfig
+        from repro.telemetry import Telemetry
+        from repro.usecase.levels import level_by_name
+
+        path = tmp_path / "metrics.json"
+        args = fast_args + [
+            "--metrics-out", str(path),
+            "sweep", "--channels", "1,2", "--freqs", "400",
+        ]
+        assert main(args) == 0
+        payload = json.loads(path.read_text())
+        telemetry = Telemetry.enabled()
+        sweep_use_case(
+            [level_by_name("3.1")],
+            [SystemConfig(channels=m, freq_mhz=400.0) for m in (1, 2)],
+            scale=1 / 256,
+            telemetry=telemetry,
+        )
+        expected = telemetry.registry.as_dict()
+        assert sorted(payload["counters"]) == sorted(expected["counters"])
+        assert {"engine.reads", "sim.points", "system.runs"} <= set(
+            payload["counters"]
+        )
+        phases = [phase["name"] for phase in payload["profile"]["phases"]]
+        assert phases == [
+            phase.name for phase in telemetry.profile_report().phases
+        ]
+        assert phases[0] == "load.build"
+        assert phases[-1] == "power.integrate"
+
+    def test_sweep_metrics_carry_supervision(self, tmp_path, fast_args):
+        import json
+
+        path = tmp_path / "metrics.json"
+        args = fast_args + [
+            "--point-timeout", "60", "--metrics-out", str(path),
+            "sweep", "--channels", "1,2", "--freqs", "400",
+        ]
+        assert main(args) == 0
+        payload = json.loads(path.read_text())
+        counters = payload["counters"]
+        for name in (
+            "sweep.timeouts", "sweep.watchdog_kills", "sweep.quarantined"
+        ):
+            assert counters[name] == 0, name
+        interval = payload["histograms"]["sweep.point_interval_seconds"]
+        assert interval["count"] == 2
 
     def test_sweep_defaults_run_paper_grid(self, capsys, fast_args):
         assert main(fast_args + ["sweep", "--freqs", "400"]) == 0
