@@ -35,9 +35,10 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.realtime import RealTimeVerdict, realtime_verdict
+from repro.controller.request import MasterTransaction
 from repro.core.config import SystemConfig
 from repro.core.results import SimulationResult
-from repro.core.system import MultiChannelMemorySystem
+from repro.core.system import ChannelSplit, MultiChannelMemorySystem
 from repro.errors import CheckpointError, ConfigurationError, WorkerError
 from repro.load.model import DEFAULT_BLOCK_BYTES, VideoRecordingLoadModel
 from repro.load.scaling import DEFAULT_CHUNK_BUDGET, choose_scale
@@ -49,9 +50,10 @@ from repro.resilience.report import JobFailure, SweepReport
 from repro.resilience.retry import RetryPolicy
 from repro.resilience.supervisor import Watchdog
 from repro.service.cache import CacheWarning, ResultCache, resolve_cache
-from repro.telemetry.profile import NULL_PROFILER
+from repro.telemetry.profile import NULL_PROFILER, PhaseProfiler
 from repro.telemetry.progress import ProgressSink, SweepProgress
 from repro.telemetry.session import Telemetry
+from repro.units import clock_period_ns
 from repro.usecase.levels import H264Level
 from repro.usecase.pipeline import VideoRecordingUseCase
 from repro.workloads.registry import WorkloadLike, resolve_workload
@@ -84,6 +86,78 @@ class SweepPoint:
         return 0.0 if self.verdict is RealTimeVerdict.FAIL else self.total_power_mw
 
 
+class _SharedTraffic:
+    """The traffic the points of one in-process sweep share.
+
+    A point's master stream depends on its level (and on the
+    sweep-wide scale, budget, block size and workload), never on the
+    memory configuration; its channel split depends on that stream,
+    the channel count and the capacity, and on the clock only through
+    the arrival cycles.  This memo holds the current level's stream
+    and its splits as immutable tuples and drops both when the level
+    changes, so it never holds more than one level's traffic.  It
+    lives for one :func:`sweep_use_case` call (or one
+    :func:`simulate_use_case` point): nothing outlives the call.
+    """
+
+    def __init__(self) -> None:
+        self._stream_key: Optional[tuple] = None
+        self._scale = 1.0
+        self._transactions: Tuple[MasterTransaction, ...] = ()
+        # Whether any transaction carries a non-zero arrival: only then
+        # does the split depend on the clock.
+        self._paced = False
+        self._splits: Dict[tuple, ChannelSplit] = {}
+
+    def stream(
+        self,
+        level: H264Level,
+        scale: Optional[float],
+        chunk_budget: int,
+        block_bytes: int,
+        use_case: Optional[VideoRecordingUseCase],
+        workload: WorkloadLike,
+        profiler: PhaseProfiler,
+    ) -> float:
+        """Build the master stream unless the last call built the same
+        one; returns the stream's scale."""
+        key = (level, scale, chunk_budget, block_bytes, use_case, workload)
+        if key == self._stream_key:
+            return self._scale
+        self._stream_key = None
+        self._splits = {}
+        with profiler.phase("load.build"):
+            if use_case is None:
+                use_case = resolve_workload(workload).instantiate(level)
+            load = VideoRecordingLoadModel(use_case, block_bytes=block_bytes)
+        with profiler.phase("load.scale"):
+            if scale is None:
+                scale = choose_scale(use_case.total_bytes_per_frame(), chunk_budget)
+        with profiler.phase("load.generate"):
+            self._transactions = tuple(load.generate_frame(scale=scale))
+        self._scale = scale
+        self._paced = any(txn.arrival_ns for txn in self._transactions)
+        self._stream_key = key
+        return scale
+
+    def split(
+        self, system: MultiChannelMemorySystem, profiler: PhaseProfiler
+    ) -> ChannelSplit:
+        """The current stream split for ``system``, made on first use."""
+        config = system.config
+        key = (
+            config.channels,
+            config.total_capacity_bytes,
+            clock_period_ns(config.freq_mhz) if self._paced else None,
+        )
+        split = self._splits.get(key)
+        if split is None:
+            with profiler.phase("system.interleave"):
+                split = system.split(self._transactions)
+            self._splits[key] = split
+        return split
+
+
 def simulate_use_case(
     level: H264Level,
     config: SystemConfig,
@@ -93,6 +167,8 @@ def simulate_use_case(
     use_case: Optional[VideoRecordingUseCase] = None,
     telemetry: Optional[Telemetry] = None,
     workload: WorkloadLike = None,
+    *,
+    _traffic: Optional[_SharedTraffic] = None,
 ) -> SweepPoint:
     """Simulate one frame of ``workload`` at ``level`` on ``config``.
 
@@ -108,24 +184,24 @@ def simulate_use_case(
     ``workload``.
 
     A live ``telemetry`` session attributes wall-clock to the pipeline
-    phases (``load.build``, ``load.scale``, ``load.generate``, the
-    system's ``system.interleave`` / ``system.engine`` /
+    phases (``load.build``, ``load.scale``, ``load.generate``,
+    ``system.interleave``, the system's ``system.engine`` /
     ``system.pool`` and ``power.integrate``) and collects the
     ``engine.*`` statistics; the returned point is bit-identical with
     telemetry on, off or absent.
+
+    ``_traffic`` is the sweep-internal memo through which an
+    in-process sweep's points share their stream and splits.
     """
     profiler = telemetry.profiler if telemetry is not None else NULL_PROFILER
-    with profiler.phase("load.build"):
-        if use_case is None:
-            use_case = resolve_workload(workload).instantiate(level)
-        load = VideoRecordingLoadModel(use_case, block_bytes=block_bytes)
-    with profiler.phase("load.scale"):
-        if scale is None:
-            scale = choose_scale(use_case.total_bytes_per_frame(), chunk_budget)
-    with profiler.phase("load.generate"):
-        transactions = load.generate_frame(scale=scale)
+    traffic = _traffic if _traffic is not None else _SharedTraffic()
+    scale = traffic.stream(
+        level, scale, chunk_budget, block_bytes, use_case, workload, profiler
+    )
     system = MultiChannelMemorySystem(config)
-    result = system.run(transactions, scale=scale, telemetry=telemetry)
+    result = system.run_split(
+        traffic.split(system, profiler), scale=scale, telemetry=telemetry
+    )
     with profiler.phase("power.integrate"):
         power = compute_frame_power(config, result, level.frame_period_ms)
         verdict = realtime_verdict(result.access_time_ms, level.frame_period_ms)
@@ -144,7 +220,9 @@ SweepJob = Tuple[
 
 
 def _sweep_point_job(
-    job: SweepJob, telemetry: Optional[Telemetry] = None
+    job: SweepJob,
+    telemetry: Optional[Telemetry] = None,
+    traffic: Optional[_SharedTraffic] = None,
 ) -> SweepPoint:
     """Simulate one sweep point (pool worker entry point).
 
@@ -154,9 +232,11 @@ def _sweep_point_job(
     for checkpoint bookkeeping and as the fault-injection hook the
     resilience tests target.
 
-    ``telemetry`` is only threaded in for in-process sweeps: a pool
-    worker's registry/profiler mutations would die with the worker, so
-    pooled sweeps collect sweep-level metrics in the parent instead.
+    ``telemetry`` and ``traffic`` are only threaded in for in-process
+    sweeps: a pool worker's registry/profiler mutations would die with
+    the worker, so pooled sweeps collect sweep-level metrics in the
+    parent instead, and a worker receives single points, so it has no
+    traffic to share.
     """
     index, level, config, scale, chunk_budget, block_bytes, workload = job
     maybe_inject("sweep", index)
@@ -168,6 +248,7 @@ def _sweep_point_job(
         block_bytes=block_bytes,
         telemetry=telemetry,
         workload=workload,
+        _traffic=traffic,
     )
 
 
@@ -580,17 +661,18 @@ def sweep_use_case(
         for name in ("sweep.timeouts", "sweep.watchdog_kills", "sweep.quarantined"):
             telemetry.registry.counter(name).add(0)
 
-    # Per-point telemetry (phase profile, engine counters) only works
-    # in-process: a pool worker's mutations die with the worker.
-    # Supervision forces pooled execution even for one worker, so a
-    # supervised sweep never binds the telemetry session into the job.
+    # Per-point telemetry (phase profile, engine counters) and shared
+    # traffic only work in-process: a pool worker's mutations die with
+    # the worker.  Supervision forces pooled execution even for one
+    # worker, so a supervised sweep binds neither into the job.
     point_fn = _sweep_point_job
     if (
-        telemetry is not None
-        and point_timeout is None
+        point_timeout is None
         and resolve_workers(workers, max(1, len(pending_jobs))) <= 1
     ):
-        point_fn = partial(_sweep_point_job, telemetry=telemetry)
+        point_fn = partial(
+            _sweep_point_job, telemetry=telemetry, traffic=_SharedTraffic()
+        )
 
     sweep_timer = (
         telemetry.registry.timer("sweep.run") if telemetry is not None else None

@@ -17,7 +17,7 @@ the results are bit-identical to the sequential path.
 from __future__ import annotations
 
 import time
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.controller.engine import ChannelResult
 from repro.controller.request import MasterTransaction
@@ -43,8 +43,26 @@ PARALLEL_MIN_CHUNKS = 32_768
 _ARRIVAL_EPSILON_CYCLES = 1e-6
 
 
+#: One channel's access runs: ``(op, local_start_chunk, count,
+#: arrival_cycle)`` tuples in program order.
+ChannelRuns = Tuple[Tuple[int, int, int, int], ...]
+
+
+class ChannelSplit(NamedTuple):
+    """A master stream interleaved over the channels (Table II).
+
+    Immutable, so one split can feed any number of runs."""
+
+    #: Per-channel access runs, indexed by channel.
+    runs: Tuple[ChannelRuns, ...]
+    #: Master transactions split.
+    transactions: int
+    #: 16-byte chunks queued over all channels.
+    chunks: int
+
+
 def _run_channel_job(
-    job: Tuple[SystemConfig, int, list]
+    job: Tuple[SystemConfig, int, ChannelRuns]
 ) -> ChannelResult:
     """Simulate one channel's access stream (pool worker entry point).
 
@@ -56,7 +74,7 @@ def _run_channel_job(
 
 
 def _run_channel_job_timed(
-    job: Tuple[SystemConfig, int, list]
+    job: Tuple[SystemConfig, int, ChannelRuns]
 ) -> Tuple[float, ChannelResult]:
     """Like :func:`_run_channel_job`, but ships the worker-side engine
     wall-clock back with the result so telemetry can attribute pooled
@@ -132,67 +150,109 @@ class MultiChannelMemorySystem:
             default) keeps the untapped fast path; results are
             bit-identical either way.
         """
+        if telemetry is None:
+            split = self.split(transactions, wrap_capacity=wrap_capacity)
+        else:
+            with telemetry.phase("system.interleave"):
+                split = self.split(transactions, wrap_capacity=wrap_capacity)
+        return self.run_split(
+            split,
+            scale=scale,
+            command_logs=command_logs,
+            workers=workers,
+            telemetry=telemetry,
+        )
+
+    def split(
+        self,
+        transactions: Iterable[MasterTransaction],
+        wrap_capacity: bool = True,
+    ) -> ChannelSplit:
+        """Interleave a master stream into per-channel access runs.
+
+        The Table II split that :meth:`run` performs, exposed so one
+        split can feed several runs: it depends on the channel count,
+        the total capacity and -- through the arrival cycles -- the
+        clock period, and on nothing else of the configuration.
+        ``wrap_capacity`` is as in :meth:`run`.
+        """
         per_channel: List[list] = [[] for _ in range(self.config.channels)]
         capacity = self.config.total_capacity_bytes
         total_chunks = capacity >> 4
         tck = self._tck_ns
         split_span = self.interleaver.split_span
-
-        def split_transactions() -> Tuple[int, int]:
-            """Interleave the master stream; returns (txns, chunks)."""
-            queued_chunks = 0
-            n_txns = 0
-            for txn in transactions:
-                n_txns += 1
-                if txn.end_address > capacity and not wrap_capacity:
-                    raise AddressError(
-                        f"transaction [{txn.address:#x}, {txn.end_address:#x}) "
-                        f"exceeds total capacity {capacity:#x}"
+        queued_chunks = 0
+        n_txns = 0
+        for txn in transactions:
+            n_txns += 1
+            if txn.end_address > capacity and not wrap_capacity:
+                raise AddressError(
+                    f"transaction [{txn.address:#x}, {txn.end_address:#x}) "
+                    f"exceeds total capacity {capacity:#x}"
+                )
+            # Explicit None test: an arrival of exactly 0.0 ns is a
+            # timestamp, not a missing one (both map to cycle 0, but
+            # truthiness would also swallow a future Optional misuse).
+            # The conversion rounds *up*: an arrival strictly inside
+            # cycle k cannot issue at k -- truncation placed it one
+            # cycle early.  Negative arrivals must be rejected here:
+            # int() truncates toward zero, so a negative value would
+            # round the wrong way and silently land at cycle 0/-1.
+            if txn.arrival_ns is None:
+                arrival_cycle = 0
+            else:
+                if txn.arrival_ns < 0:
+                    raise ConfigurationError(
+                        f"transaction arrival_ns must be >= 0, got "
+                        f"{txn.arrival_ns!r}"
                     )
-                # Explicit None test: an arrival of exactly 0.0 ns is a
-                # timestamp, not a missing one (both map to cycle 0, but
-                # truthiness would also swallow a future Optional misuse).
-                # The conversion rounds *up*: an arrival strictly inside
-                # cycle k cannot issue at k -- truncation placed it one
-                # cycle early.  Negative arrivals must be rejected here:
-                # int() truncates toward zero, so a negative value would
-                # round the wrong way and silently land at cycle 0/-1.
-                if txn.arrival_ns is None:
-                    arrival_cycle = 0
-                else:
-                    if txn.arrival_ns < 0:
-                        raise ConfigurationError(
-                            f"transaction arrival_ns must be >= 0, got "
-                            f"{txn.arrival_ns!r}"
-                        )
-                    arrival_f = txn.arrival_ns / tck
-                    arrival_cycle = int(arrival_f)
-                    if arrival_f - arrival_cycle > _ARRIVAL_EPSILON_CYCLES:
-                        arrival_cycle += 1
-                span = txn.chunk_span()
-                op = int(txn.op)
-                first = span.start % total_chunks
-                remaining = len(span)
-                if remaining > total_chunks:
-                    raise AddressError(
-                        f"transaction of {txn.size} bytes exceeds the whole "
-                        f"memory capacity {capacity:#x}"
-                    )
-                while remaining > 0:
-                    take = min(remaining, total_chunks - first)
-                    for ch, start, count in split_span(first, first + take - 1):
-                        per_channel[ch].append((op, start, count, arrival_cycle))
-                    first = 0
-                    remaining -= take
-                queued_chunks += len(span)
-            return n_txns, queued_chunks
+                arrival_f = txn.arrival_ns / tck
+                arrival_cycle = int(arrival_f)
+                if arrival_f - arrival_cycle > _ARRIVAL_EPSILON_CYCLES:
+                    arrival_cycle += 1
+            span = txn.chunk_span()
+            op = int(txn.op)
+            first = span.start % total_chunks
+            remaining = len(span)
+            if remaining > total_chunks:
+                raise AddressError(
+                    f"transaction of {txn.size} bytes exceeds the whole "
+                    f"memory capacity {capacity:#x}"
+                )
+            while remaining > 0:
+                take = min(remaining, total_chunks - first)
+                for ch, start, count in split_span(first, first + take - 1):
+                    per_channel[ch].append((op, start, count, arrival_cycle))
+                first = 0
+                remaining -= take
+            queued_chunks += len(span)
+        return ChannelSplit(
+            runs=tuple(tuple(runs) for runs in per_channel),
+            transactions=n_txns,
+            chunks=queued_chunks,
+        )
 
-        if telemetry is None:
-            n_txns, queued_chunks = split_transactions()
-        else:
-            with telemetry.phase("system.interleave"):
-                n_txns, queued_chunks = split_transactions()
+    def run_split(
+        self,
+        split: ChannelSplit,
+        scale: float = 1.0,
+        command_logs: Optional[List[list]] = None,
+        workers: Optional[int] = None,
+        telemetry: Optional[Telemetry] = None,
+    ) -> SimulationResult:
+        """Simulate an already interleaved stream (see :meth:`split`).
 
+        The second half of :meth:`run`, taking the same ``scale``,
+        ``command_logs``, ``workers`` and ``telemetry`` arguments; the
+        ``system.*`` counters are tapped from the split's counts, so a
+        shared split is counted once per run like a fresh one.
+        """
+        if len(split.runs) != self.config.channels:
+            raise ConfigurationError(
+                f"split has {len(split.runs)} channel stream(s), the system "
+                f"has {self.config.channels} channel(s)"
+            )
+        per_channel = split.runs
         if command_logs is not None:
             # Audit path: always in-process.  Per-command logs are
             # orders of magnitude larger than the ChannelResults, so
@@ -218,7 +278,7 @@ class MultiChannelMemorySystem:
         else:
             requested = self.config.parallelism if workers is None else workers
             effective = resolve_workers(requested, self.config.channels)
-            if effective > 1 and queued_chunks >= PARALLEL_MIN_CHUNKS:
+            if effective > 1 and split.chunks >= PARALLEL_MIN_CHUNKS:
                 jobs = [
                     (self.config, i, runs)
                     for i, runs in enumerate(per_channel)
@@ -260,7 +320,7 @@ class MultiChannelMemorySystem:
             channels=results, freq_mhz=self.config.freq_mhz, scale=scale
         )
         if telemetry is not None:
-            self._tap_metrics(telemetry, result, n_txns, queued_chunks)
+            self._tap_metrics(telemetry, result, split.transactions, split.chunks)
         return result
 
     def _tap_metrics(

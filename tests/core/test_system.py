@@ -7,6 +7,8 @@ from repro.core.config import SystemConfig
 from repro.core.system import MultiChannelMemorySystem
 from repro.errors import AddressError, ConfigurationError
 from repro.load.generators import sequential_stream
+from repro.load.pacing import pace_transactions
+from repro.telemetry import Telemetry
 
 
 def make_system(channels=2, freq=400.0):
@@ -151,6 +153,70 @@ class TestArrivalConversion:
         system = make_system(channels=1)
         with pytest.raises(ConfigurationError, match="arrival_ns"):
             system.run([MasterTransaction(Op.READ, 0, 16, arrival_ns=-0.1)])
+
+
+class TestSplit:
+    """``split`` is the interleave ``run`` performs; ``run_split``
+    simulates its result, so one split can feed several runs."""
+
+    def _stream(self):
+        return sequential_stream(2**16, block_bytes=4096)
+
+    def test_split_is_immutable_runs_and_counts(self):
+        system = make_system(channels=4)
+        split = system.split([MasterTransaction(Op.READ, 0, 256)])
+        assert split.runs == tuple(((0, 0, 4, 0),) for _ in range(4))
+        assert (split.transactions, split.chunks) == (1, 16)
+
+    def test_run_is_split_then_run_split(self):
+        system = make_system(channels=2)
+        txns = self._stream()
+        assert system.run(txns).channels == (
+            system.run_split(system.split(txns)).channels
+        )
+
+    def test_unpaced_split_reused_across_clocks(self):
+        txns = self._stream()
+        split = make_system(channels=2, freq=200.0).split(txns)
+        other = make_system(channels=2, freq=400.0)
+        assert other.split(txns) == split
+        assert other.run_split(split).channels == other.run(txns).channels
+
+    def test_paced_split_depends_on_clock(self):
+        paced = pace_transactions(self._stream(), frame_period_ms=0.1)
+        slow = make_system(channels=2, freq=200.0).split(paced)
+        fast = make_system(channels=2, freq=400.0).split(paced)
+        assert slow != fast
+        assert slow.runs[0][-1][3] < fast.runs[0][-1][3]
+
+    def test_split_keeps_every_check(self):
+        system = make_system(channels=1)
+        capacity = system.config.total_capacity_bytes
+        with pytest.raises(AddressError):
+            system.split(
+                [MasterTransaction(Op.READ, capacity - 16, 64)],
+                wrap_capacity=False,
+            )
+        with pytest.raises(AddressError):
+            system.split([MasterTransaction(Op.READ, 0, capacity + 16)])
+        with pytest.raises(ConfigurationError, match="arrival_ns"):
+            system.split([MasterTransaction(Op.READ, 0, 16, arrival_ns=-0.1)])
+
+    def test_run_split_rejects_foreign_channel_count(self):
+        split = make_system(channels=2).split(self._stream())
+        with pytest.raises(ConfigurationError, match="channel"):
+            make_system(channels=4).run_split(split)
+
+    def test_counters_come_from_the_split(self):
+        system = make_system(channels=2)
+        split = system.split(self._stream())
+        telemetry = Telemetry.enabled()
+        system.run_split(split, telemetry=telemetry)
+        system.run_split(split, telemetry=telemetry)
+        counters = telemetry.registry.as_dict()["counters"]
+        assert counters["system.runs"] == 2
+        assert counters["system.transactions"] == 2 * split.transactions
+        assert counters["system.chunks_queued"] == 2 * split.chunks
 
 
 class TestDescribe:
