@@ -26,7 +26,12 @@ import math
 from typing import Iterable, Optional
 
 from repro.backends.base import ChannelBackend, ChannelSimulator
-from repro.controller.engine import ChannelEngine, ChannelResult, RunLike
+from repro.controller.engine import (
+    ChannelResult,
+    ChannelRuns,
+    RunLike,
+    check_runs,
+)
 from repro.controller.mapping import AddressMapping
 from repro.core.analytic import (
     direction_switch_cost_cycles,
@@ -35,7 +40,7 @@ from repro.core.analytic import (
 )
 from repro.core.config import SystemConfig
 from repro.dram.commands import CommandCounters, StateDurations
-from repro.errors import AddressError, ConfigurationError
+from repro.errors import ConfigurationError
 
 
 class AnalyticChannelSimulator(ChannelSimulator):
@@ -56,7 +61,22 @@ class AnalyticChannelSimulator(ChannelSimulator):
         runs: Iterable[RunLike],
         command_log: Optional[list] = None,
     ) -> ChannelResult:
-        """Estimate the stream's timing/command/state outcome closed-form."""
+        """Estimate the stream's timing/command/state outcome closed-form.
+
+        Validates the runs first
+        (:func:`~repro.controller.engine.check_runs`), then
+        :meth:`run_trusted` estimates them.
+        """
+        return self.run_trusted(check_runs(runs, self._max_chunk), command_log)
+
+    def run_trusted(
+        self,
+        runs: ChannelRuns,
+        command_log: Optional[list] = None,
+    ) -> ChannelResult:
+        """The estimate of :meth:`run` over already checked runs (see
+        :meth:`ChannelSimulator.run_trusted
+        <repro.backends.base.ChannelSimulator.run_trusted>`)."""
         if command_log is not None:
             raise ConfigurationError(
                 "the 'analytic' backend cannot produce command logs "
@@ -65,7 +85,6 @@ class AnalyticChannelSimulator(ChannelSimulator):
             )
         cfg = self.config
         t = self.timing
-        normalised = ChannelEngine._normalise(runs)
 
         # (bank, row) changes whenever any chunk bit at or above the
         # lowest decode shift changes; one aligned 2**seg_shift block is
@@ -93,14 +112,8 @@ class AnalyticChannelSimulator(ChannelSimulator):
         prev_op = -1
         prev_block = -1
         end = 0.0  # running completion estimate, channel cycles
-        max_chunk = self._max_chunk
 
-        for op, start, count, arrival in normalised:
-            if start + count > max_chunk:
-                raise AddressError(
-                    f"run [{start}, {start + count}) exceeds channel capacity "
-                    f"of {max_chunk} chunks"
-                )
+        for op, start, count, arrival in runs:
             # Arrival gaps: idle time is spent powered down per policy,
             # exactly as the engines hand run-boundary gaps to it.
             if arrival > end:

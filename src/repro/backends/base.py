@@ -37,6 +37,12 @@ how :class:`~repro.core.system.MultiChannelMemorySystem` owns one
 engine per channel.  Simulators may keep per-channel state between
 calls exactly as :class:`ChannelEngine` does (it does not), but one
 ``run`` call must be a pure function of its input stream.
+
+Validation happens once, where a stream enters: ``run`` checks its
+runs (:func:`~repro.controller.engine.check_runs`) and then simulates
+them; ``run_trusted`` is the simulation alone, for runs a
+:class:`~repro.core.system.ChannelSplit` already checked when it was
+made.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ import abc
 from typing import TYPE_CHECKING, Iterable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.controller.engine import ChannelResult, RunLike
+    from repro.controller.engine import ChannelResult, ChannelRuns, RunLike
     from repro.core.config import SystemConfig
 
 
@@ -71,7 +77,36 @@ class ChannelSimulator(abc.ABC):
         by backends whose :attr:`ChannelBackend.supports_command_log`
         is true; others raise
         :class:`~repro.errors.ConfigurationError`.
+
+        This is the validating entry: a malformed run (op not in
+        {0, 1}, count <= 0, a negative start or arrival, a run past
+        the channel's capacity) must raise a typed
+        :class:`~repro.errors.ConfigurationError` /
+        :class:`~repro.errors.AddressError`, never yield a result.
+        :meth:`Channel.run <repro.core.channel.Channel.run>`, protocol
+        audits and the channel-pool job come through here.
         """
+
+    def run_trusted(
+        self,
+        runs: "ChannelRuns",
+        command_log: Optional[list] = None,
+    ) -> "ChannelResult":
+        """Simulate runs that :func:`~repro.controller.engine.check_runs`
+        already accepted for this channel.
+
+        :meth:`MultiChannelMemorySystem.run_split
+        <repro.core.system.MultiChannelMemorySystem.run_split>` calls
+        this with a split's runs, which were checked once when the
+        split was made, so a shared split is not re-checked per clock.
+        The built-in simulators implement it as their simulation body
+        (their ``run`` is "check, then ``run_trusted``").  This default
+        calls the validating :meth:`run`, so a custom backend is
+        correct without knowing the split trusts its input.
+        """
+        if command_log is None:
+            return self.run(runs)
+        return self.run(runs, command_log=command_log)
 
 
 class ChannelBackend(abc.ABC):

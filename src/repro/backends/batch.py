@@ -55,16 +55,15 @@ protocol audits and closed-page studies behave identically to
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterable, Optional, Tuple
+from typing import Optional
 
 from repro.backends.base import ChannelBackend
 from repro.backends.reference import build_engine
-from repro.controller.engine import ChannelEngine, ChannelResult, RunLike
+from repro.controller.engine import ChannelEngine, ChannelResult, ChannelRuns
 from repro.controller.interconnect import OVERHEAD_SCALE, OVERHEAD_SHIFT
 from repro.core.config import SystemConfig
 from repro.dram.commands import CommandCounters, StateDurations
 from repro.dram.device import NO_OPEN_ROW
-from repro.errors import AddressError
 
 #: Smallest run length worth the batch bookkeeping; shorter stretches
 #: are stepped (the closed form costs ~a dozen integer ops plus up to
@@ -139,7 +138,7 @@ class _DecodedStream:
         self.bank_counts = bank_counts
 
 
-def _decode_stream(runs: Tuple[Tuple[int, int, int, int], ...], mapping) -> _DecodedStream:
+def _decode_stream(runs: ChannelRuns, mapping) -> _DecodedStream:
     """Run-list -> segment-table decode (cache miss path)."""
     # Accesses share (bank, row) while the chunk bits at or above every
     # decode shift are constant, i.e. within one aligned 2**seg_shift
@@ -183,9 +182,7 @@ def _decode_stream(runs: Tuple[Tuple[int, int, int, int], ...], mapping) -> _Dec
     return _DecodedStream(segments, n_rd, n_wr, tuple(bank_counts))
 
 
-def _decode_cached(
-    runs: Tuple[Tuple[int, int, int, int], ...], mapping
-) -> _DecodedStream:
+def _decode_cached(runs: ChannelRuns, mapping) -> _DecodedStream:
     """LRU-cached decode, keyed by run content + mapping parameters."""
     key = (
         runs,
@@ -215,13 +212,20 @@ def _decode_cached(
 class BatchChannelEngine(ChannelEngine):
     """Reference timing algebra over a cached segment decode."""
 
-    def run(
+    def run_trusted(
         self,
-        runs: Iterable[RunLike],
+        runs: ChannelRuns,
         command_log: Optional[list] = None,
     ) -> ChannelResult:
-        """Bit-identical to :meth:`ChannelEngine.run`, an order of
-        magnitude faster on streaming traffic.
+        """Bit-identical to :meth:`ChannelEngine.run_trusted`, an order
+        of magnitude faster on streaming traffic.
+
+        ``runs`` is already checked (the inherited
+        :meth:`~repro.controller.engine.ChannelEngine.run` validates
+        with :func:`~repro.controller.engine.check_runs` first; a
+        :class:`~repro.core.system.ChannelSplit` is checked once when
+        it is made), and it keys the decode cache as it is: every
+        clock of a shared split looks up that split's own tuple.
 
         The stepped branch is the reference engine's loop body, kept
         textually in sync; the batch branch is that body's closed form
@@ -232,19 +236,11 @@ class BatchChannelEngine(ChannelEngine):
         precharged).
         """
         if command_log is not None or self.check_invariants:
-            return ChannelEngine.run(self, runs, command_log)
+            return ChannelEngine.run_trusted(self, runs, command_log)
         if not self.page_policy.keeps_rows_open:
-            return ChannelEngine.run(self, runs, command_log)
+            return ChannelEngine.run_trusted(self, runs, command_log)
 
-        normalised = tuple(self._normalise(runs))
-        max_chunk = self._max_chunk
-        for _, start, count, _ in normalised:
-            if start + count > max_chunk:
-                raise AddressError(
-                    f"run [{start}, {start + count}) exceeds channel capacity "
-                    f"of {max_chunk} chunks"
-                )
-        decoded = _decode_cached(normalised, self.mapping)
+        decoded = _decode_cached(runs, self.mapping)
 
         timing = self.timing
         cas = timing.cas_latency

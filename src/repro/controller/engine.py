@@ -41,7 +41,7 @@ Scheduling model
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Iterable, Optional, Tuple, Union
 
 from repro.controller.interconnect import (
     OVERHEAD_SCALE,
@@ -64,6 +64,56 @@ _VIOLATION_HISTORY = 12
 
 #: Accepted run formats: ChannelRun objects or raw (op, start, count[, arrival]) tuples.
 RunLike = Union[ChannelRun, Tuple[int, int, int], Tuple[int, int, int, int]]
+
+#: One channel's checked access runs: ``(op, start_chunk, count,
+#: arrival_cycle)`` int tuples in program order (see :func:`check_runs`).
+ChannelRuns = Tuple[Tuple[int, int, int, int], ...]
+
+
+def check_runs(runs: Iterable[RunLike], max_chunk: int) -> ChannelRuns:
+    """Validate an access stream into the form the engines trust.
+
+    Every accepted run format becomes an ``(op, start, count,
+    arrival)`` tuple, checked for ``op`` in {0, 1}, ``count > 0``,
+    ``start >= 0``, ``arrival >= 0``
+    (:class:`~repro.errors.ConfigurationError`) and ``start + count``
+    within the channel's ``max_chunk`` chunks
+    (:class:`~repro.errors.AddressError`).  This is the one place the
+    checks live: each simulator's validating ``run`` calls it, and
+    :meth:`~repro.core.system.MultiChannelMemorySystem.split` calls it
+    once per split so that ``run_split`` can hand the runs to each
+    simulator's ``run_trusted`` without checking them again.
+    """
+    out = []
+    append = out.append
+    for run in runs:
+        if isinstance(run, ChannelRun):
+            op = int(run.op)
+            start = run.start_chunk
+            count = run.count
+            arrival = run.arrival_cycle
+        elif len(run) == 3:
+            op, start, count = run
+            arrival = 0
+        else:
+            op, start, count, arrival = run
+        # Both forms pass through the same checks: a ChannelRun can be
+        # malformed too (op is not validated at construction, and
+        # frozen dataclasses can still be corrupted), and letting one
+        # through silently corrupts the engine's counters.
+        if op not in (0, 1):
+            raise ConfigurationError(f"run op must be 0 or 1, got {op!r}")
+        if count <= 0:
+            raise ConfigurationError(f"run count must be positive, got {count}")
+        if start < 0 or arrival < 0:
+            raise ConfigurationError("run start/arrival must be non-negative")
+        if start + count > max_chunk:
+            raise AddressError(
+                f"run [{start}, {start + count}) exceeds channel capacity "
+                f"of {max_chunk} chunks"
+            )
+        append((op, start, count, arrival))
+    return tuple(out)
 
 
 @dataclass
@@ -220,34 +270,6 @@ class ChannelEngine:
 
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _normalise(runs: Iterable[RunLike]) -> Sequence[Tuple[int, int, int, int]]:
-        """Convert accepted run formats into (op, start, count, arrival)."""
-        out = []
-        for run in runs:
-            if isinstance(run, ChannelRun):
-                op = int(run.op)
-                start = run.start_chunk
-                count = run.count
-                arrival = run.arrival_cycle
-            elif len(run) == 3:
-                op, start, count = run
-                arrival = 0
-            else:
-                op, start, count, arrival = run
-            # Both forms pass through the same checks: a ChannelRun can
-            # be malformed too (op is not validated at construction, and
-            # frozen dataclasses can still be corrupted), and letting one
-            # through silently corrupts the engine's counters.
-            if op not in (0, 1):
-                raise ConfigurationError(f"run op must be 0 or 1, got {op!r}")
-            if count <= 0:
-                raise ConfigurationError(f"run count must be positive, got {count}")
-            if start < 0 or arrival < 0:
-                raise ConfigurationError("run start/arrival must be non-negative")
-            out.append((op, start, count, arrival))
-        return out
-
     def make_checker(self) -> ProtocolChecker:
         """Build a protocol checker matched to this engine's device and
         clock, for auditing a ``command_log``.
@@ -291,17 +313,34 @@ class ChannelEngine:
         """Process an ordered stream of access runs and return timing,
         command and power-state statistics.
 
+        The runs are validated first (:func:`check_runs`): a malformed
+        run raises a typed error before any state is touched.  Then
+        :meth:`run_trusted` simulates them.
+
         Pass a list as ``command_log`` to record every issued command
         as a :class:`~repro.dram.protocol.CommandRecord` (in issue
         order) for auditing with the :class:`ProtocolChecker`.
         Logging roughly doubles the per-burst cost; leave it off for
         large sweeps.
+        """
+        return self.run_trusted(check_runs(runs, self._max_chunk), command_log)
+
+    def run_trusted(
+        self,
+        runs: ChannelRuns,
+        command_log: Optional[list] = None,
+    ) -> ChannelResult:
+        """The simulation body of :meth:`run`, without the validation.
+
+        ``runs`` must already be :func:`check_runs` output for this
+        channel's capacity, as a
+        :class:`~repro.core.system.ChannelSplit` holds; nothing here
+        re-checks it.
 
         The loop body is deliberately monolithic and local-variable
         heavy: it executes once per 16-byte burst and dominates the
         simulator's runtime.
         """
-        normalised = self._normalise(runs)
         if self.check_invariants and command_log is None:
             command_log = []
         log_append = command_log.append if command_log is not None else None
@@ -370,14 +409,8 @@ class ChannelEngine:
         n_ref = 0
         n_qstall = 0
         n_conflict = 0
-        max_chunk = self._max_chunk
 
-        for op, start, count, arrival in normalised:
-            if start + count > max_chunk:
-                raise AddressError(
-                    f"run [{start}, {start + count}) exceeds channel capacity "
-                    f"of {max_chunk} chunks"
-                )
+        for op, start, count, arrival in runs:
             # --- idle-gap / power-down handling at run boundaries -------
             if arrival > cmd_free and arrival > bus_free:
                 busy_until = cmd_free if cmd_free > bus_free else bus_free

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional
 
-from repro.controller.engine import ChannelEngine, ChannelResult, RunLike
+from repro.controller.engine import ChannelResult, RunLike, check_runs
 from repro.controller.interconnect import OVERHEAD_SCALE, InterconnectModel
 from repro.controller.mapping import AddressMapping, AddressMultiplexing
 from repro.controller.pagepolicy import PagePolicy
@@ -41,7 +41,7 @@ from repro.dram.datasheet import DeviceDescriptor
 from repro.dram.device import NO_OPEN_ROW
 from repro.dram.powerstate import ImmediatePowerDown, PowerDownPolicy
 from repro.dram.protocol import CommandRecord, ProtocolChecker
-from repro.errors import AddressError, ConfigurationError
+from repro.errors import ConfigurationError
 
 
 class ReorderingChannelEngine:
@@ -99,12 +99,7 @@ class ReorderingChannelEngine:
         row_mask = self.mapping.row_mask
         xor_shift = self.mapping.xor_shift
         xor_mask = self.mapping.xor_mask
-        for run in ChannelEngine._normalise(runs):
-            op, start, count, arrival = run
-            if start + count > self._max_chunk:
-                raise AddressError(
-                    f"run [{start}, {start + count}) exceeds channel capacity"
-                )
+        for op, start, count, arrival in check_runs(runs, self._max_chunk):
             for k in range(count):
                 chunk = start + k
                 bank = (

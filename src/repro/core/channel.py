@@ -52,7 +52,12 @@ class Channel:
         runs: Iterable[RunLike],
         command_log: Optional[list] = None,
     ) -> ChannelResult:
-        """Simulate an access stream on this channel."""
+        """Simulate an access stream on this channel.
+
+        A validating entry: the simulator's ``run`` checks every run
+        (:func:`~repro.controller.engine.check_runs`) before it
+        simulates, so a malformed stream raises a typed error.
+        """
         if command_log is not None:
             return self.simulator.run(runs, command_log=command_log)
         return self.simulator.run(runs)

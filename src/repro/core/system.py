@@ -12,6 +12,13 @@ That exact independence is what the parallel execution layer exploits:
 :meth:`MultiChannelMemorySystem.run` can fan the per-channel streams
 out over worker processes (``config.parallelism`` or ``workers=``) and
 the results are bit-identical to the sequential path.
+
+The split is also the trust boundary:
+:meth:`~MultiChannelMemorySystem.split` checks every channel's runs
+once (:func:`~repro.controller.engine.check_runs`), and
+:meth:`~MultiChannelMemorySystem.run_split` hands them to each
+channel's ``run_trusted`` without checking them again -- however many
+clocks share the split.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from __future__ import annotations
 import time
 from typing import Iterable, List, NamedTuple, Optional, Tuple
 
-from repro.controller.engine import ChannelResult
+from repro.controller.engine import ChannelResult, ChannelRuns, check_runs
 from repro.controller.request import MasterTransaction
 from repro.core.channel import Channel
 from repro.core.config import SystemConfig
@@ -43,22 +50,46 @@ PARALLEL_MIN_CHUNKS = 32_768
 _ARRIVAL_EPSILON_CYCLES = 1e-6
 
 
-#: One channel's access runs: ``(op, local_start_chunk, count,
-#: arrival_cycle)`` tuples in program order.
-ChannelRuns = Tuple[Tuple[int, int, int, int], ...]
-
-
 class ChannelSplit(NamedTuple):
     """A master stream interleaved over the channels (Table II).
 
-    Immutable, so one split can feed any number of runs."""
+    Immutable, so one split can feed any number of runs.  A split made
+    by :meth:`MultiChannelMemorySystem.split` is already checked; one
+    built by hand is checked by
+    :meth:`~MultiChannelMemorySystem.run_split` before any engine
+    sees it."""
 
-    #: Per-channel access runs, indexed by channel.
+    #: Per-channel access runs (``(op, local_start_chunk, count,
+    #: arrival_cycle)`` tuples in program order), indexed by channel.
     runs: Tuple[ChannelRuns, ...]
     #: Master transactions split.
     transactions: int
     #: 16-byte chunks queued over all channels.
     chunks: int
+
+
+class _CheckedSplit(ChannelSplit):
+    """A split whose every run passed
+    :func:`~repro.controller.engine.check_runs` against ``max_chunk``
+    chunks per channel.  Constructing one is the check, so the engines
+    can trust its runs as they are."""
+
+    def __new__(cls, runs, transactions, chunks, max_chunk):
+        self = super().__new__(
+            cls,
+            tuple(check_runs(channel, max_chunk) for channel in runs),
+            transactions,
+            chunks,
+        )
+        self.max_chunk = max_chunk
+        return self
+
+    def __getnewargs__(self):
+        return (*self, self.max_chunk)
+
+    def _replace(self, **changes):
+        # A changed split is an unchecked one.
+        return ChannelSplit(*self)._replace(**changes)
 
 
 def _run_channel_job(
@@ -99,6 +130,7 @@ class MultiChannelMemorySystem:
             Channel(config, index=i) for i in range(config.channels)
         ]
         self._tck_ns = clock_period_ns(config.freq_mhz)
+        self._max_chunk = config.device.geometry.capacity_bytes >> 4
 
     # ------------------------------------------------------------------
 
@@ -175,6 +207,11 @@ class MultiChannelMemorySystem:
         the total capacity and -- through the arrival cycles -- the
         clock period, and on nothing else of the configuration.
         ``wrap_capacity`` is as in :meth:`run`.
+
+        Every run is checked here, once
+        (:func:`~repro.controller.engine.check_runs` against the
+        per-channel capacity), so :meth:`run_split` can hand the runs
+        to the engines unchecked.
         """
         per_channel: List[list] = [[] for _ in range(self.config.channels)]
         capacity = self.config.total_capacity_bytes
@@ -226,10 +263,8 @@ class MultiChannelMemorySystem:
                 first = 0
                 remaining -= take
             queued_chunks += len(span)
-        return ChannelSplit(
-            runs=tuple(tuple(runs) for runs in per_channel),
-            transactions=n_txns,
-            chunks=queued_chunks,
+        return _CheckedSplit(
+            per_channel, n_txns, queued_chunks, self._max_chunk
         )
 
     def run_split(
@@ -246,12 +281,23 @@ class MultiChannelMemorySystem:
         ``command_logs``, ``workers`` and ``telemetry`` arguments; the
         ``system.*`` counters are tapped from the split's counts, so a
         shared split is counted once per run like a fresh one.
+
+        A split from :meth:`split` was checked when it was made, so
+        its runs go to each channel's ``run_trusted`` as they are.  A
+        split built by hand (or checked against a larger channel) is
+        checked here first, with the same typed errors as
+        :meth:`Channel.run <repro.core.channel.Channel.run>`.  The
+        audit (``command_logs``) and channel-pool paths go through
+        the validating ``Channel.run``.
         """
         if len(split.runs) != self.config.channels:
             raise ConfigurationError(
                 f"split has {len(split.runs)} channel stream(s), the system "
                 f"has {self.config.channels} channel(s)"
             )
+        max_chunk = self._max_chunk
+        if type(split) is not _CheckedSplit or split.max_chunk > max_chunk:
+            split = _CheckedSplit(*split, max_chunk)
         per_channel = split.runs
         if command_logs is not None:
             # Audit path: always in-process.  Per-command logs are
@@ -307,13 +353,13 @@ class MultiChannelMemorySystem:
             else:
                 if telemetry is None:
                     results = [
-                        channel.run(runs)
+                        channel.simulator.run_trusted(runs)
                         for channel, runs in zip(self.channels, per_channel)
                     ]
                 else:
                     with telemetry.phase("system.engine"):
                         results = [
-                            channel.run(runs)
+                            channel.simulator.run_trusted(runs)
                             for channel, runs in zip(self.channels, per_channel)
                         ]
         result = SimulationResult(

@@ -7,8 +7,12 @@ import pytest
 from repro.analysis.experiments import run_fig3
 from repro.analysis.sweep import sweep_use_case
 from repro.controller.engine import ChannelEngine
+from repro.controller.request import MasterTransaction, Op
+from repro.core.channel import Channel
 from repro.core.config import SystemConfig
+from repro.core.system import ChannelSplit, MultiChannelMemorySystem
 from repro.errors import (
+    AddressError,
     ConfigurationError,
     ProtocolError,
     SimulationError,
@@ -17,11 +21,31 @@ from repro.errors import (
 from repro.parallel import pool_supported
 from repro.resilience import SweepCheckpoint, SweepReport
 from repro.resilience import faults
+from repro.telemetry import Telemetry
 from repro.usecase.levels import level_by_name
 
 BUDGET = 2000
 LEVEL = level_by_name("3.1")
 CONFIGS = [SystemConfig(channels=m) for m in (1, 2, 4)]
+
+BACKENDS = ("reference", "batch", "analytic")
+MAX_CHUNK = SystemConfig().device.geometry.capacity_bytes >> 4
+
+
+def _malformed_streams(runs, max_chunk):
+    """``(stream, error, match)`` for each way a run can be malformed,
+    each a copy of the well-formed ``runs`` with its last run damaged."""
+    head = [tuple(run) for run in runs[:-1]]
+    return [
+        (faults.malformed_runs(runs, at=len(runs) - 1), ConfigurationError,
+         "op must be 0 or 1"),
+        (head + [(0, 8, 0, 0)], ConfigurationError, "count must be positive"),
+        (head + [(0, 8, -1, 0)], ConfigurationError, "count must be positive"),
+        (head + [(0, -1, 1, 0)], ConfigurationError, "non-negative"),
+        (head + [(0, 8, 1, -1)], ConfigurationError, "non-negative"),
+        (head + [(1, max_chunk - 1, 2, 0)], AddressError, "capacity"),
+    ]
+
 
 needs_pool = pytest.mark.skipif(
     not pool_supported(), reason="platform cannot start worker processes"
@@ -167,6 +191,46 @@ class TestInputCorruption:
             engine.run(damaged)
         with pytest.raises(ConfigurationError, match="outside"):
             faults.malformed_runs(runs, at=5)
+        # Every built-in backend's validating entry rejects the same
+        # inputs with the same typed errors.
+        for backend in BACKENDS:
+            channel = Channel(config.with_backend(backend))
+            for bad, error, match in _malformed_streams(runs, MAX_CHUNK):
+                with pytest.raises(error, match=match):
+                    channel.run(bad)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_hand_built_split_rejected_before_any_engine_runs(
+        self, backend, monkeypatch
+    ):
+        system = MultiChannelMemorySystem(
+            SystemConfig(channels=2, backend=backend)
+        )
+        simulated = []
+
+        def spy(runs, command_log=None):
+            simulated.append(runs)
+
+        for channel in system.channels:
+            monkeypatch.setattr(channel.simulator, "run", spy)
+            monkeypatch.setattr(channel.simulator, "run_trusted", spy)
+        good = ((0, 0, 1, 0), (1, 8, 1, 0))
+        # The bad run sits in the last channel, so a split checked
+        # lazily, channel by channel, would already have run channel 0.
+        for bad, error, match in _malformed_streams(good, MAX_CHUNK):
+            split = ChannelSplit(
+                runs=(good, tuple(bad)), transactions=2, chunks=4
+            )
+            with pytest.raises(error, match=match):
+                system.run_split(split)
+            with pytest.raises(error, match=match):
+                system.run_split(split, telemetry=Telemetry.enabled())
+        # A checked split stops being trusted once it is changed.
+        checked = system.split([MasterTransaction(Op.READ, 0, 64)])
+        changed = checked._replace(runs=(checked.runs[0], ((7, 0, 1, 0),)))
+        with pytest.raises(ConfigurationError, match="op must be 0 or 1"):
+            system.run_split(changed)
+        assert simulated == []
 
 
 def _two_rows_same_bank(engine):
