@@ -11,7 +11,7 @@ Not a paper artifact -- this times the pluggable simulation backends
   access-time tolerance at a fraction of the cost.
 
 The speedup bounds bind everywhere: they are algorithmic (fewer loop
-iterations), not parallelism, so no CPU-count skip is needed.
+iterations), not worker processes, so no CPU-count skip is needed.
 """
 
 import time

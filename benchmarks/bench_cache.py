@@ -15,7 +15,7 @@ The claims pinned here:
   all misses, a warm run all hits, nothing unaccounted.
 
 The speedup bound is algorithmic (a disk read vs a DRAM simulation),
-not parallelism, so no CPU-count skip is needed.
+not worker processes, so no CPU-count skip is needed.
 """
 
 import time

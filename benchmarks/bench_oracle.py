@@ -15,8 +15,8 @@ already paid for.  The claims pinned here:
   comparator, the strictest equality the repo has).
 
 The speedup bound is algorithmic (a dict lookup or a two-point
-interpolation vs a DRAM simulation), not parallelism, so no CPU-count
-skip is needed.
+interpolation vs a DRAM simulation), not worker processes, so no
+CPU-count skip is needed.
 """
 
 import statistics

@@ -1,16 +1,19 @@
-"""Parallel execution layer: sequential vs pooled channel simulation.
+"""Parallel execution layer: in-process vs pooled sweep.
 
 Not a paper artifact -- this times the :mod:`repro.parallel` layer on
-the paper's heaviest evaluated point (level 5.2, 2160p@30, on eight
-channels) and pins its two contracts:
+a Fig. 3-shaped grid (level 3.1, 720p@30, over every paper clock and
+channel count) and pins its two contracts:
 
-- the parallel path is *bit-identical* to the sequential one, and
+- the pooled sweep is *bit-identical* to the in-process one, point by
+  point, and
 - on a machine with enough cores it is actually faster (>= 2x with
   four or more workers).
 
-The speedup assertion is skipped on small machines and wherever the
-process pool is unavailable (the layer then falls back in-process by
-design); the identity assertion always runs.
+The sweep point is the one unit of parallel work, so the pool fans
+whole points out; each point's channels are simulated together in the
+worker that owns it.  The speedup assertion is skipped on small
+machines and wherever the process pool is unavailable (the layer then
+falls back in-process by design); the identity assertion always runs.
 """
 
 import time
@@ -18,85 +21,81 @@ import time
 import pytest
 
 from benchmarks.conftest import show
-from repro.core.config import SystemConfig
-from repro.core.system import PARALLEL_MIN_CHUNKS, MultiChannelMemorySystem
-from repro.load.model import VideoRecordingLoadModel
-from repro.load.scaling import choose_scale
+from repro.analysis.sweep import sweep_use_case
+from repro.core.config import (
+    PAPER_CHANNEL_COUNTS,
+    PAPER_FREQUENCIES_MHZ,
+    SystemConfig,
+)
 from repro.parallel import available_cpus, pool_supported
 from repro.usecase.levels import level_by_name
-from repro.usecase.pipeline import VideoRecordingUseCase
 
-#: The 8-channel 2160p design point (the paper's hardest PASS cell).
-CONFIG = SystemConfig(channels=8, freq_mhz=400.0)
-LEVEL = level_by_name("5.2")
+#: The Fig. 3 grid: every paper clock on every paper channel count.
+LEVEL = level_by_name("3.1")
+CONFIGS = [
+    SystemConfig(channels=channels, freq_mhz=freq)
+    for freq in PAPER_FREQUENCIES_MHZ
+    for channels in PAPER_CHANNEL_COUNTS
+]
 
-#: Workers for the pooled benchmarks: one per CPU, at most one per
-#: channel, and at least two so the pool actually engages.
-POOL_WORKERS = max(2, min(available_cpus(), CONFIG.channels))
-
-
-def _frame_transactions(budget):
-    use_case = VideoRecordingUseCase(LEVEL)
-    load = VideoRecordingLoadModel(use_case)
-    scale = choose_scale(use_case.total_bytes_per_frame(), budget)
-    return load.generate_frame(scale=scale), scale
+#: Workers for the pooled benchmarks: one per CPU, and at least two so
+#: the pool actually engages.
+POOL_WORKERS = max(2, available_cpus())
 
 
-def test_sequential_channel_simulation(benchmark, budget):
-    """Baseline: the 8 channel streams simulated in-process."""
-    txns, scale = _frame_transactions(budget)
-    system = MultiChannelMemorySystem(CONFIG)
-    result = benchmark(system.run, txns, scale)
-    assert result.access_time_ms > 0
+def _sweep(budget, workers=None):
+    return list(
+        sweep_use_case([LEVEL], CONFIGS, chunk_budget=budget, workers=workers)
+    )
+
+
+def test_sequential_sweep(benchmark, budget):
+    """Baseline: the grid's points simulated in-process."""
+    points = benchmark(_sweep, budget)
+    assert len(points) == len(CONFIGS)
     show(
-        "sequential 2160p on 8ch",
-        f"{result.describe()}  [workers=1]",
+        "in-process Fig. 3 grid",
+        f"{len(points)} points, 3.1 on 1-8 channels  [workers=1]",
     )
 
 
 @pytest.mark.skipif(not pool_supported(), reason="process pool unavailable")
-def test_parallel_channel_simulation(benchmark, budget):
-    """Pooled run: same streams fanned over worker processes.
+def test_pooled_sweep(benchmark, budget):
+    """Pooled run: the same points fanned over worker processes.
 
-    Asserts bit-identity against the sequential baseline on every
+    Asserts bit-identity against the in-process baseline on every
     machine; speed is what the benchmark clock records.
     """
-    txns, scale = _frame_transactions(budget)
-    system = MultiChannelMemorySystem(CONFIG)
-    baseline = system.run(txns, scale)
-    result = benchmark(system.run, txns, scale, workers=POOL_WORKERS)
-    assert result.channels == baseline.channels
-    assert result.access_time_ms == baseline.access_time_ms
+    baseline = _sweep(budget)
+    points = benchmark(_sweep, budget, workers=POOL_WORKERS)
+    assert points == baseline
     show(
-        "parallel 2160p on 8ch",
-        f"{result.describe()}  [workers={POOL_WORKERS}]",
+        "pooled Fig. 3 grid",
+        f"{len(points)} points, bit-identical  [workers={POOL_WORKERS}]",
     )
 
 
 @pytest.mark.skipif(not pool_supported(), reason="process pool unavailable")
-def test_parallel_speedup(budget):
-    """Wall-clock speedup of the pooled path over the sequential one.
+def test_pooled_sweep_speedup(budget):
+    """Wall-clock speedup of the pooled sweep over the in-process one.
 
     The >= 2x acceptance bound only binds on machines with >= 4 CPUs;
     elsewhere the run still exercises the pool end to end and reports
     the measured ratio.
     """
-    txns, scale = _frame_transactions(8 * max(budget, PARALLEL_MIN_CHUNKS))
-    system = MultiChannelMemorySystem(CONFIG)
-
     t0 = time.perf_counter()
-    sequential = system.run(txns, scale, workers=1)
+    sequential = _sweep(budget)
     t_seq = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    parallel = system.run(txns, scale, workers=POOL_WORKERS)
+    pooled = _sweep(budget, workers=POOL_WORKERS)
     t_par = time.perf_counter() - t0
 
-    assert parallel.channels == sequential.channels
+    assert pooled == sequential
     speedup = t_seq / t_par if t_par > 0 else float("inf")
     show(
-        "parallel speedup",
-        f"sequential {t_seq * 1e3:.0f} ms, parallel {t_par * 1e3:.0f} ms "
+        "pooled sweep speedup",
+        f"in-process {t_seq * 1e3:.0f} ms, pooled {t_par * 1e3:.0f} ms "
         f"with {POOL_WORKERS} workers on {available_cpus()} CPUs: "
         f"{speedup:.2f}x",
     )

@@ -185,10 +185,9 @@ def simulate_use_case(
 
     A live ``telemetry`` session attributes wall-clock to the pipeline
     phases (``load.build``, ``load.scale``, ``load.generate``,
-    ``system.interleave``, the system's ``system.engine`` /
-    ``system.pool`` and ``power.integrate``) and collects the
-    ``engine.*`` statistics; the returned point is bit-identical with
-    telemetry on, off or absent.
+    ``system.interleave``, ``system.engine`` and ``power.integrate``)
+    and collects the ``engine.*`` statistics; the returned point is
+    bit-identical with telemetry on, off or absent.
 
     ``_traffic`` is the sweep-internal memo through which an
     in-process sweep's points share their stream and splits.

@@ -47,12 +47,6 @@ class SystemConfig:
     interconnect: InterconnectModel = field(default_factory=InterconnectModel)
     #: Controller command-queue model.
     queue: CommandQueueModel = field(default_factory=CommandQueueModel)
-    #: Worker processes :meth:`~repro.core.system.MultiChannelMemorySystem.run`
-    #: may use to simulate channels concurrently.  1 (default) runs
-    #: everything in-process; 0 means one worker per available CPU; N
-    #: caps the pool at N processes.  Results are bit-identical either
-    #: way -- see :mod:`repro.parallel` and docs/architecture.md.
-    parallelism: int = 1
     #: Simulation backend evaluating each channel's access stream:
     #: ``"reference"`` (event-driven engine, exact), ``"batch"``
     #: (cached segment decode + closed-form batching, bit-identical to
@@ -80,11 +74,6 @@ class SystemConfig:
                 "channel count must be a power of two for the Table II "
                 f"interleaving, got {self.channels}"
             )
-        if self.parallelism < 0 or self.parallelism > 256:
-            raise ConfigurationError(
-                f"parallelism must be in [0, 256] (0 = one worker per "
-                f"CPU), got {self.parallelism}"
-            )
         validate_backend_name(self.backend)
         self.device.timing.validate_frequency(self.freq_mhz)
 
@@ -111,10 +100,6 @@ class SystemConfig:
     def with_frequency(self, freq_mhz: float) -> "SystemConfig":
         """Return a copy with a different interface clock."""
         return replace(self, freq_mhz=freq_mhz)
-
-    def with_parallelism(self, parallelism: int) -> "SystemConfig":
-        """Return a copy with a different simulation worker count."""
-        return replace(self, parallelism=parallelism)
 
     def with_backend(self, backend: str) -> "SystemConfig":
         """Return a copy selecting a different simulation backend."""

@@ -8,10 +8,10 @@ in order per channel, and the access-time metric is the completion of
 the *last* channel -- there is no cross-channel ordering the split
 could violate.
 
-That exact independence is what the parallel execution layer exploits:
-:meth:`MultiChannelMemorySystem.run` can fan the per-channel streams
-out over worker processes (``config.parallelism`` or ``workers=``) and
-the results are bit-identical to the sequential path.
+The channels of one run are simulated one after another in the
+calling process.  Worker processes work one level up: a sweep fans
+whole points out over them (:mod:`repro.parallel`), and a point is a
+bigger unit of work than a channel.
 
 The split is also the trust boundary:
 :meth:`~MultiChannelMemorySystem.split` checks every channel's runs
@@ -23,7 +23,6 @@ clocks share the split.
 
 from __future__ import annotations
 
-import time
 from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.controller.engine import ChannelResult, ChannelRuns, check_runs
@@ -33,16 +32,8 @@ from repro.core.config import SystemConfig
 from repro.core.interleave import ChannelInterleaver
 from repro.core.results import SimulationResult
 from repro.errors import AddressError, ConfigurationError
-from repro.parallel import parallel_map, resolve_workers
 from repro.telemetry.session import Telemetry
 from repro.units import clock_period_ns
-
-#: Below this many queued bursts a run stays in-process even when
-#: parallelism is enabled: worker start-up (tens of milliseconds)
-#: would dominate the few milliseconds of simulation.  The fallback is
-#: deterministic -- it produces the identical result, just without the
-#: pool.
-PARALLEL_MIN_CHUNKS = 32_768
 
 #: Sub-cycle slack for the arrival-time conversion: an arrival within
 #: this many cycles of a clock edge (femtoseconds of real time) is
@@ -92,34 +83,6 @@ class _CheckedSplit(ChannelSplit):
         return ChannelSplit(*self)._replace(**changes)
 
 
-def _run_channel_job(
-    job: Tuple[SystemConfig, int, ChannelRuns]
-) -> ChannelResult:
-    """Simulate one channel's access stream (pool worker entry point).
-
-    Module-level so it pickles by reference; the channel is rebuilt
-    inside the worker from the (picklable) configuration.
-    """
-    config, index, runs = job
-    return Channel(config, index=index).run(runs)
-
-
-def _run_channel_job_timed(
-    job: Tuple[SystemConfig, int, ChannelRuns]
-) -> Tuple[float, ChannelResult]:
-    """Like :func:`_run_channel_job`, but ships the worker-side engine
-    wall-clock back with the result so telemetry can attribute pooled
-    runs to ``system.engine`` vs ``system.pool`` dispatch overhead.
-
-    Only selected when telemetry is live: the extra tuple costs a few
-    bytes per channel on the pickle path and nothing else, and the
-    :class:`ChannelResult` itself is bit-identical.
-    """
-    start = time.perf_counter()
-    result = _run_channel_job(job)
-    return (time.perf_counter() - start, result)
-
-
 class MultiChannelMemorySystem:
     """Simulates the paper's M-channel memory subsystem."""
 
@@ -140,7 +103,6 @@ class MultiChannelMemorySystem:
         scale: float = 1.0,
         wrap_capacity: bool = True,
         command_logs: Optional[List[list]] = None,
-        workers: Optional[int] = None,
         telemetry: Optional[Telemetry] = None,
     ) -> SimulationResult:
         """Simulate a stream of master transactions.
@@ -165,18 +127,9 @@ class MultiChannelMemorySystem:
             Pass an empty list to collect one per-channel command log
             (lists of :class:`~repro.dram.protocol.CommandRecord`) for
             protocol auditing; see :meth:`audit`.
-        workers:
-            Worker processes for simulating the per-channel streams
-            concurrently; overrides ``config.parallelism`` when given
-            (``None`` defers to the config, 0 = one per CPU).  The
-            channels are exactly independent (see the module
-            docstring), so parallel results are bit-identical to
-            sequential ones.  Small runs (< ``PARALLEL_MIN_CHUNKS``
-            bursts) and audit runs (``command_logs``) always execute
-            in-process -- see :mod:`repro.parallel` for the rationale.
         telemetry:
             A live :class:`~repro.telemetry.Telemetry` session records
-            the interleave/engine/pool phase wall-clock and the
+            the interleave/engine phase wall-clock and the
             ``system.*`` / ``engine.*`` metrics (see
             docs/architecture.md, Observability).  ``None`` (the
             default) keeps the untapped fast path; results are
@@ -191,7 +144,6 @@ class MultiChannelMemorySystem:
             split,
             scale=scale,
             command_logs=command_logs,
-            workers=workers,
             telemetry=telemetry,
         )
 
@@ -272,23 +224,23 @@ class MultiChannelMemorySystem:
         split: ChannelSplit,
         scale: float = 1.0,
         command_logs: Optional[List[list]] = None,
-        workers: Optional[int] = None,
         telemetry: Optional[Telemetry] = None,
     ) -> SimulationResult:
         """Simulate an already interleaved stream (see :meth:`split`).
 
         The second half of :meth:`run`, taking the same ``scale``,
-        ``command_logs``, ``workers`` and ``telemetry`` arguments; the
-        ``system.*`` counters are tapped from the split's counts, so a
-        shared split is counted once per run like a fresh one.
+        ``command_logs`` and ``telemetry`` arguments; the ``system.*``
+        counters are tapped from the split's counts, so a shared split
+        is counted once per run like a fresh one.
 
-        A split from :meth:`split` was checked when it was made, so
-        its runs go to each channel's ``run_trusted`` as they are.  A
-        split built by hand (or checked against a larger channel) is
-        checked here first, with the same typed errors as
+        The channels are simulated one after another, in this
+        process.  A split from :meth:`split` was checked when it was
+        made, so its runs go to each channel's ``run_trusted`` as they
+        are.  A split built by hand (or checked against a larger
+        channel) is checked here first, with the same typed errors as
         :meth:`Channel.run <repro.core.channel.Channel.run>`.  The
-        audit (``command_logs``) and channel-pool paths go through
-        the validating ``Channel.run``.
+        audit path (``command_logs``) goes through the validating
+        ``Channel.run``.
         """
         if len(split.runs) != self.config.channels:
             raise ConfigurationError(
@@ -299,16 +251,19 @@ class MultiChannelMemorySystem:
         if type(split) is not _CheckedSplit or split.max_chunk > max_chunk:
             split = _CheckedSplit(*split, max_chunk)
         per_channel = split.runs
-        if command_logs is not None:
-            # Audit path: always in-process.  Per-command logs are
-            # orders of magnitude larger than the ChannelResults, so
-            # shipping them back across a process boundary would cost
-            # more than the simulation itself; protocol auditing
-            # therefore deliberately bypasses the pool.
+        if command_logs is None:
+
+            def simulate() -> List[ChannelResult]:
+                return [
+                    channel.simulator.run_trusted(runs)
+                    for channel, runs in zip(self.channels, per_channel)
+                ]
+
+        else:
             command_logs.clear()
             command_logs.extend([] for _ in range(self.config.channels))
 
-            def run_audited() -> List[ChannelResult]:
+            def simulate() -> List[ChannelResult]:
                 return [
                     channel.run(runs, command_log=log)
                     for channel, runs, log in zip(
@@ -316,52 +271,11 @@ class MultiChannelMemorySystem:
                     )
                 ]
 
-            if telemetry is None:
-                results = run_audited()
-            else:
-                with telemetry.phase("system.engine"):
-                    results = run_audited()
+        if telemetry is None:
+            results = simulate()
         else:
-            requested = self.config.parallelism if workers is None else workers
-            effective = resolve_workers(requested, self.config.channels)
-            if effective > 1 and split.chunks >= PARALLEL_MIN_CHUNKS:
-                jobs = [
-                    (self.config, i, runs)
-                    for i, runs in enumerate(per_channel)
-                ]
-                if telemetry is None:
-                    results = parallel_map(
-                        _run_channel_job, jobs, workers=effective
-                    )
-                else:
-                    # The timed job ships each worker's engine seconds
-                    # back with its result: "system.pool" is the
-                    # dispatch wall-clock (containing the workers) and
-                    # "system.engine" the summed worker-side engine
-                    # time, so pool overhead is readable as the
-                    # difference.
-                    with telemetry.phase("system.pool"):
-                        timed = parallel_map(
-                            _run_channel_job_timed, jobs, workers=effective
-                        )
-                    telemetry.profiler.add(
-                        "system.engine",
-                        sum(seconds for seconds, _ in timed),
-                        calls=len(timed),
-                    )
-                    results = [result for _, result in timed]
-            else:
-                if telemetry is None:
-                    results = [
-                        channel.simulator.run_trusted(runs)
-                        for channel, runs in zip(self.channels, per_channel)
-                    ]
-                else:
-                    with telemetry.phase("system.engine"):
-                        results = [
-                            channel.simulator.run_trusted(runs)
-                            for channel, runs in zip(self.channels, per_channel)
-                        ]
+            with telemetry.phase("system.engine"):
+                results = simulate()
         result = SimulationResult(
             channels=results, freq_mhz=self.config.freq_mhz, scale=scale
         )

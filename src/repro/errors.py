@@ -73,11 +73,11 @@ class WorkerError(SimulationError):
 
 
 class JobTimeoutError(SimulationError):
-    """A supervised job exhausted its wall-clock deadline budget.
+    """A pooled job exhausted its strike budget and was quarantined.
 
     Raised by :func:`repro.parallel.parallel_map` (in place of a
-    result) when a job under watchdog supervision hung past its
-    ``timeout_s`` deadline on every permitted attempt and
+    result) when a job hung past its ``timeout_s`` deadline, or took
+    its worker down, on every permitted attempt and
     ``capture_failures`` is off.  With ``capture_failures=True`` the
     same condition is captured as a quarantined
     :class:`~repro.resilience.report.JobFailure` instead.

@@ -1,18 +1,16 @@
-"""Parallel execution: process pools with a deterministic fallback.
+"""Parallel execution: one process pool with a deterministic fallback.
 
-The paper's channels are *independent* by construction (Fig. 2: each
-channel owns its controller, DRAM interconnect and bank cluster), and
-the sweep experiments (Figs. 3-5) evaluate dozens of (configuration,
-level) points that never interact.  Both are embarrassingly parallel,
+The sweep experiments (Figs. 3-5) evaluate dozens of (configuration,
+level) points that never interact.  They are embarrassingly parallel,
 yet a pure-Python simulator can only exploit that with processes --
 the GIL serialises threads on the engine's integer-arithmetic hot
-loop.  This module packages process-level parallelism behind one
-order-preserving primitive, :func:`parallel_map`, used by
-
-- :meth:`repro.core.system.MultiChannelMemorySystem.run` to simulate
-  per-channel access streams concurrently, and
-- :func:`repro.analysis.sweep.sweep_use_case` (and the Fig. 3/4/5
-  runners built on it) to fan whole sweep points out across workers.
+loop.  This module puts process pools behind one order-preserving
+primitive, :func:`parallel_map`, which
+:func:`repro.analysis.sweep.sweep_use_case` (and the Fig. 3/4/5
+runners built on it) uses to fan whole sweep points out across
+workers.  The sweep point is the one unit of parallel work: the
+channels of a point are simulated together, in the process that owns
+the point.
 
 Design rules
 ------------
@@ -30,16 +28,24 @@ treatments (see :mod:`repro.resilience.retry`):
   start, arguments could not cross the process boundary) never lose
   work: the unfinished jobs are retried on a fresh pool under a
   deterministic exponential-backoff :class:`RetryPolicy` and, once the
-  attempt budget is exhausted, completed in-process.  Every fallback
-  to the in-process path is announced with a
-  :class:`PoolFallbackWarning` naming the reason, so users on
-  restricted platforms know why ``--workers`` had no effect.
+  attempt budget is exhausted, completed in-process.  A job that was
+  running whenever its worker died is the exception: once it exhausts
+  its strike budget it is quarantined instead, so it can never take
+  the parent down in the in-process fallback.  Every fallback to the
+  in-process path is announced with a :class:`PoolFallbackWarning`
+  naming the reason, so users on restricted platforms know why
+  ``--workers`` had no effect.
 - *deterministic job failures* (the mapped function raised) are never
   retried -- a pure function fails the same way every time.  By
   default the exception propagates; with ``capture_failures=True`` the
   failed job yields a structured
   :class:`~repro.resilience.report.JobFailure` record in its result
   slot and the rest of the map completes.
+
+**One pooled loop.**  Supervised and unsupervised maps run the same
+loop; a map without a deadline is a watchdog map with no timeout (see
+:mod:`repro.resilience.supervisor` for the beat files and the
+deadline monitor).
 
 **Worker semantics.**  ``workers=None`` or ``1`` means in-process
 sequential execution; ``workers=0`` (:data:`AUTO_WORKERS`) means one
@@ -51,20 +57,28 @@ from __future__ import annotations
 
 import os
 import pickle
+import shutil
+import tempfile
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, Iterable, List, Optional, TypeVar, Union
 
-from repro.errors import ConfigurationError
-from repro.resilience.report import JobFailure
+from repro.errors import ConfigurationError, JobTimeoutError
+from repro.resilience.report import (
+    FAILURE_KIND_QUARANTINED,
+    FAILURE_KIND_TIMEOUT,
+    JobFailure,
+)
 from repro.resilience.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 from repro.resilience.supervisor import (
     CallbackError,
     Watchdog,
+    _Monitor,
+    _read_beat,
+    _watched_call,
     deliver,
-    supervised_map,
 )
 
 T = TypeVar("T")
@@ -100,11 +114,13 @@ class PoolFallbackWarning(RuntimeWarning):
     """The process pool was abandoned and work ran in-process.
 
     Results are unaffected (the fallback is deterministic); the
-    warning exists so a silent loss of parallelism is diagnosable.
+    warning exists so a silent loss of the pool is diagnosable.
     """
 
 
-def _warn_fallback(reason: str) -> None:
+def _warn_fallback(reason: str, supervised: bool) -> None:
+    if supervised:
+        reason += " -- deadlines are NOT enforced in-process"
     warnings.warn(
         PoolFallbackWarning(
             f"parallel_map fell back to in-process execution: {reason}"
@@ -197,16 +213,36 @@ def _pooled_map(
     retry: RetryPolicy,
     capture_failures: bool,
     on_result: Optional[Callable[[int, R], None]],
-    on_failure: Optional[Callable[[int, JobFailure], None]] = None,
+    on_failure: Optional[Callable[[int, JobFailure], None]],
+    watchdog: Optional[Watchdog] = None,
 ) -> Dict[int, Union[R, JobFailure]]:
-    """Distribute ``jobs`` over a pool, retrying transient failures.
+    """Distribute ``jobs`` over a pool: the one pooled loop.
 
     Returns the full index->outcome mapping.  Deterministic job
     failures either propagate (default) or land as
-    :class:`JobFailure` outcomes (``capture_failures``); transient
-    pool failures retry all unfinished jobs on a fresh pool under
-    ``retry``'s deterministic backoff schedule, then finish
-    in-process.
+    :class:`JobFailure` outcomes (``capture_failures``).
+
+    Every job announces its start through a beat file
+    (:mod:`repro.resilience.supervisor`).  When a worker dies, the
+    jobs that had started and not finished are the suspects: each is
+    charged a strike, every unfinished job is retried on a fresh pool
+    under ``retry``'s deterministic backoff, and a job that exhausts
+    its strike budget is quarantined -- captured as a
+    :class:`JobFailure` of kind ``quarantined`` or raised as
+    :class:`~repro.errors.JobTimeoutError` -- so a job that kills its
+    worker every time never reaches the in-process fallback.  That
+    fallback finishes the remaining jobs once ``retry.max_attempts``
+    pool attempts have failed.
+
+    A ``watchdog`` adds deadlines: a :class:`_Monitor` thread kills the
+    worker of any job running past ``watchdog.timeout_s``, and the kill
+    charges the hung job alone (kind ``timeout``) without using up a
+    pool attempt.  The strike budget is then
+    :meth:`Watchdog.strike_budget`.  Without one, a death only names
+    the jobs in flight, so a single death convicts no one: the budget
+    is ``retry.max_attempts`` but at least two, and :data:`NO_RETRY
+    <repro.resilience.retry.NO_RETRY>` keeps its one pool attempt and
+    then the in-process fallback.
 
     Caller callbacks run through :func:`deliver`, which wraps anything
     they raise in :class:`CallbackError` -- an exception type no
@@ -217,55 +253,137 @@ def _pooled_map(
     """
     results: Dict[int, Union[R, JobFailure]] = {}
     pending: Dict[int, T] = dict(enumerate(jobs))
-    failed_attempts = 0
-    while pending:
-        try:
-            max_workers = min(effective, len(pending))
-            with ProcessPoolExecutor(max_workers=max_workers) as pool:
-                futures = {
-                    pool.submit(fn, job): index
-                    for index, job in pending.items()
-                }
-                for future in as_completed(futures):
-                    index = futures[future]
-                    exc = future.exception()
-                    if exc is None:
-                        value = future.result()
-                        results[index] = value
-                        del pending[index]
-                        deliver(on_result, index, value)
-                    elif isinstance(exc, _TRANSIENT_FUTURE_ERRORS):
-                        # The pool (or the pickling boundary) failed,
-                        # not the job: escalate to the retry handler
-                        # with the job still pending.
-                        raise exc
-                    else:
-                        # The mapped function raised.  Pure functions
-                        # fail deterministically; never retry.
-                        job = pending.pop(index)
-                        if not capture_failures:
+    strikes: Dict[int, int] = {}
+    if watchdog is not None:
+        budget = watchdog.strike_budget(retry)
+        deadline = f" (deadline {watchdog.timeout_s:g} s)"
+    else:
+        budget = max(2, retry.max_attempts)
+        deadline = ""
+    pool_failures = 0
+    round_no = 0
+    beat_dir = tempfile.mkdtemp(prefix="repro-pool-")
+
+    def strike(index: int, kind: str, detail: str) -> None:
+        """Charge one strike; quarantine on budget exhaustion."""
+        strikes[index] = strikes.get(index, 0) + 1
+        if strikes[index] < budget:
+            return  # requeue: the job stays pending
+        job = pending.pop(index)
+        if watchdog is not None:
+            watchdog.quarantined += 1
+        message = f"{detail} on {strikes[index]} attempt(s){deadline}; quarantined"
+        if not capture_failures:
+            raise JobTimeoutError(f"job {index} ({job!r}) {message}")
+        failure = JobFailure.from_quarantine(
+            index,
+            job,
+            kind=kind,
+            message=message,
+            error_type=(
+                "JobTimeoutError" if kind == FAILURE_KIND_TIMEOUT else "WorkerLost"
+            ),
+        )
+        results[index] = failure
+        deliver(on_failure, index, failure)
+
+    try:
+        while pending:
+            round_no += 1
+            tag = str(round_no)
+            monitor: Optional[_Monitor] = None
+            try:
+                max_workers = min(effective, len(pending))
+                with ProcessPoolExecutor(max_workers=max_workers) as pool:
+                    futures = {
+                        pool.submit(
+                            _watched_call, fn, job, index, beat_dir, tag
+                        ): index
+                        for index, job in pending.items()
+                    }
+                    if watchdog is not None:
+                        monitor = _Monitor(
+                            beat_dir,
+                            tag,
+                            {index: future for future, index in futures.items()},
+                            watchdog,
+                        )
+                        monitor.start()
+                    for future in as_completed(futures):
+                        index = futures[future]
+                        exc = future.exception()
+                        if exc is None:
+                            value = future.result()
+                            results[index] = value
+                            del pending[index]
+                            deliver(on_result, index, value)
+                        elif isinstance(exc, _TRANSIENT_FUTURE_ERRORS):
+                            # The pool (or the pickling boundary) failed,
+                            # not the job: escalate with the job still
+                            # pending.
                             raise exc
-                        failure = JobFailure.from_exception(index, job, exc)
-                        results[index] = failure
-                        deliver(on_failure, index, failure)
-        except CallbackError:
-            raise
-        except _POOL_ERRORS as exc:
-            failed_attempts += 1
-            if failed_attempts >= retry.max_attempts:
-                _warn_fallback(
-                    f"{type(exc).__name__}: {exc} (after {failed_attempts} "
-                    f"pool attempt(s)); finishing {len(pending)} job(s) "
-                    "in-process"
+                        else:
+                            # The mapped function raised.  Pure
+                            # functions fail deterministically; never
+                            # retry.
+                            job = pending.pop(index)
+                            if not capture_failures:
+                                raise exc
+                            failure = JobFailure.from_exception(index, job, exc)
+                            results[index] = failure
+                            deliver(on_failure, index, failure)
+            except _POOL_ERRORS as exc:
+                killed = (
+                    monitor.killed & set(pending) if monitor is not None else set()
                 )
-                _serial_map(
-                    fn, pending, results, capture_failures, on_result,
-                    on_failure,
+                if killed:
+                    # A watchdog round: the hung jobs alone are charged;
+                    # every other unfinished job requeues for free and
+                    # the pool-failure budget is untouched.
+                    for index in sorted(killed):
+                        watchdog.timeouts += 1
+                        strike(
+                            index,
+                            FAILURE_KIND_TIMEOUT,
+                            "hung past the watchdog deadline",
+                        )
+                    continue
+                # A genuine pool failure: charge the started-but-
+                # unfinished jobs (the beat files name the suspects).
+                suspects = sorted(
+                    index
+                    for index in pending
+                    if _read_beat(beat_dir, tag, index) is not None
                 )
-            else:
-                delay = retry.delay_s(failed_attempts)
-                if delay > 0:
-                    time.sleep(delay)
+                for index in suspects:
+                    strike(
+                        index,
+                        FAILURE_KIND_QUARANTINED,
+                        f"worker died ({type(exc).__name__})",
+                    )
+                pool_failures += 1
+                if not pending:
+                    continue
+                if pool_failures >= retry.max_attempts:
+                    _warn_fallback(
+                        f"{type(exc).__name__}: {exc} (after {pool_failures} "
+                        f"pool attempt(s)); finishing {len(pending)} job(s) "
+                        "in-process",
+                        watchdog is not None,
+                    )
+                    _serial_map(
+                        fn, pending, results, capture_failures, on_result,
+                        on_failure,
+                    )
+                else:
+                    delay = retry.delay_s(pool_failures)
+                    if delay > 0:
+                        time.sleep(delay)
+            finally:
+                if monitor is not None:
+                    monitor.stop()
+    finally:
+        shutil.rmtree(beat_dir, ignore_errors=True)
     return results
 
 
@@ -301,6 +419,11 @@ def parallel_map(
       with jitterless deterministic backoff delays, before finishing
       in-process.  No work is lost and no job runs twice to
       completion -- only jobs whose results never arrived are retried.
+      A job that was running at every death of its worker (``retry``'s
+      attempt budget, but at least two deaths) is quarantined as a
+      :class:`~repro.resilience.report.JobFailure` of kind
+      ``quarantined`` (``capture_failures=True``) or raised as
+      :class:`~repro.errors.JobTimeoutError`, never run in-process.
     - Exceptions raised by ``fn`` are deterministic: they are never
       retried.  By default the first one propagates to the caller;
       with ``capture_failures=True`` each failed job's result slot
@@ -345,74 +468,35 @@ def parallel_map(
     if watchdog is None and timeout_s is not None:
         watchdog = Watchdog(timeout_s)
 
-    def unwrap(run: Callable[[], Dict[int, Union[R, JobFailure]]]):
+    # Supervision needs preemptable workers: a deadline forces a pool
+    # even for an effective worker count of 1.
+    pooled = bool(jobs) and (effective > 1 or watchdog is not None)
+    if pooled:
         try:
-            return run()
-        except CallbackError as exc:
-            raise exc.original from exc.original.__cause__
-
-    if watchdog is not None and jobs:
-        if pool_supported():
-            # Supervision needs preemptable workers: force a pool even
-            # for an effective worker count of 1.
-            outcome = unwrap(
-                lambda: supervised_map(
-                    fn,
-                    jobs,
-                    max(effective, 1),
-                    policy,
-                    capture_failures,
-                    on_result,
-                    on_failure,
-                    watchdog,
-                )
+            # Probe before starting a pool: an unpicklable fn (lambda,
+            # closure, bound method) surfaces as an AttributeError or
+            # TypeError from deep inside the pool's feeder thread, so
+            # it is far cleaner to detect it up front.
+            pickle.dumps(fn)
+        except Exception as exc:
+            pooled = False
+            _warn_fallback(
+                f"function {fn!r} cannot cross the process boundary "
+                f"({type(exc).__name__})",
+                watchdog is not None,
             )
-            return [outcome[i] for i in range(len(jobs))]
-        _warn_fallback(
-            "worker pools are unavailable on this platform; running "
-            f"{len(jobs)} supervised job(s) in-process -- deadlines are "
-            "NOT enforced in-process"
-        )
-        results: Dict[int, Union[R, JobFailure]] = {}
-        unwrap(
-            lambda: _serial_map(
-                fn, dict(enumerate(jobs)), results, capture_failures,
-                on_result, on_failure,
-            )
-        )
-        return [results[i] for i in range(len(jobs))]
-    if effective <= 1:
-        results = {}
-        unwrap(
-            lambda: _serial_map(
-                fn, dict(enumerate(jobs)), results, capture_failures,
-                on_result, on_failure,
-            )
-        )
-        return [results[i] for i in range(len(jobs))]
     try:
-        # Probe before starting a pool: an unpicklable fn (lambda,
-        # closure, bound method) surfaces as an AttributeError or
-        # TypeError from deep inside the pool's feeder thread, so it
-        # is far cleaner to detect it up front.
-        pickle.dumps(fn)
-    except Exception as exc:
-        _warn_fallback(
-            f"function {fn!r} cannot cross the process boundary "
-            f"({type(exc).__name__})"
-        )
-        results = {}
-        unwrap(
-            lambda: _serial_map(
-                fn, dict(enumerate(jobs)), results, capture_failures,
+        if pooled:
+            outcome = _pooled_map(
+                fn, jobs, effective, policy, capture_failures, on_result,
+                on_failure, watchdog,
+            )
+        else:
+            outcome = {}
+            _serial_map(
+                fn, dict(enumerate(jobs)), outcome, capture_failures,
                 on_result, on_failure,
             )
-        )
-        return [results[i] for i in range(len(jobs))]
-    outcome = unwrap(
-        lambda: _pooled_map(
-            fn, jobs, effective, policy, capture_failures, on_result,
-            on_failure,
-        )
-    )
+    except CallbackError as exc:
+        raise exc.original from exc.original.__cause__
     return [outcome[i] for i in range(len(jobs))]

@@ -8,7 +8,8 @@ The parallel layer distinguishes two failure classes (see
   start, or the pool machinery itself raised.  The *jobs* are fine;
   re-executing them on a fresh pool is expected to succeed.  These are
   retried under a :class:`RetryPolicy` and, once the attempt budget is
-  exhausted, completed in-process.
+  exhausted, completed in-process -- apart from a job that was running
+  at each death of its worker, which is quarantined instead.
 - **deterministic job failures** -- the mapped function raised.  Pure
   functions fail the same way every time, so retrying is waste; these
   are never retried and are instead propagated or captured as
@@ -36,13 +37,14 @@ class RetryPolicy:
     ``max_attempts`` counts *pool* attempts: 3 means the initial try
     plus two retries before the work falls back in-process.
 
-    Under watchdog supervision
-    (:mod:`repro.resilience.supervisor`) the same ``max_attempts``
-    doubles as the default *per-job* strike budget: a job that hangs
-    past its deadline (or takes its worker down) that many times is
+    The same ``max_attempts`` doubles as the default *per-job* strike
+    budget: a job that takes its worker down (or, under watchdog
+    supervision, hangs past its deadline) that many times is
     quarantined instead of requeued, unless the
     :class:`~repro.resilience.supervisor.Watchdog` overrides the
-    budget with ``max_strikes``.
+    budget with ``max_strikes``.  Without a watchdog the budget is at
+    least two deaths, so :data:`NO_RETRY` still ends in the in-process
+    fallback.
     """
 
     max_attempts: int = 3

@@ -1,27 +1,31 @@
-"""Watchdog-supervised pooled execution: deadlines, hang detection,
-quarantine.
+"""Watchdog supervision: deadlines, hang detection, quarantine.
 
-The retry machinery in :mod:`repro.parallel` recovers from workers
-that *die* -- the pool reports the death and the unfinished jobs are
-requeued.  A worker that *hangs* reports nothing: before this module,
-one livelocked simulation stalled an entire sweep forever.  The
-supervisor closes that gap with three mechanisms:
+The one pooled loop (``repro.parallel._pooled_map``) recovers from
+workers that *die* -- the pool reports the death and the unfinished
+jobs are requeued.  A worker that *hangs* reports nothing: without a
+deadline, one livelocked simulation stalls an entire sweep forever.
+This module holds the pieces the loop uses to close that gap:
 
-**Deadlines.**  Every supervised job carries a wall-clock deadline
+**Deadlines.**  A supervised job carries a wall-clock deadline
 (``timeout_s`` on :func:`repro.parallel.parallel_map`,
 ``point_timeout`` on :func:`repro.analysis.sweep.sweep_use_case`,
 ``--point-timeout`` on the sweeping CLI subcommands), configured
 through a :class:`Watchdog`.
 
-**Hang detection and kill.**  Supervised jobs extend the sweep's
-heartbeat plumbing down into the workers: each job announces its start
-(pid + monotonic timestamp) through a per-job beat file the moment it
-begins executing.  A parent-side monitor thread polls the beats; a job
-still unfinished past its deadline gets its worker ``SIGKILL``\\ ed.
-The kill surfaces to the parent as the familiar broken-pool transient
-failure, so the existing requeue path rebuilds the pool and re-runs
-every unfinished job -- except that the supervisor knows *which* job
-hung and charges the strike to it alone.
+**Beat files.**  Every pooled job announces its start (pid +
+monotonic timestamp) through a per-job beat file the moment it begins
+executing (:func:`_watched_call`).  When the pool breaks, the jobs
+that had started and not finished are the suspects, so a job that
+crashes its worker every time is charged and quarantined before the
+in-process fallback would run it in (and take down) the parent.
+
+**Hang detection and kill.**  Under a :class:`Watchdog`, a
+parent-side :class:`_Monitor` thread polls the beats; a job still
+unfinished past its deadline gets its worker ``SIGKILL``\\ed.  The
+kill surfaces to the parent as the familiar broken-pool transient
+failure, so the loop rebuilds the pool and re-runs every unfinished
+job -- except that the monitor knows *which* job hung and the strike
+is charged to it alone.
 
 **Quarantine.**  A job that exhausts its per-job strike budget
 (``Watchdog.max_strikes``, defaulting to the
@@ -31,16 +35,12 @@ written off as a quarantined
 :class:`~repro.resilience.report.JobFailure`
 (:data:`~repro.resilience.report.FAILURE_KIND_TIMEOUT` or
 :data:`~repro.resilience.report.FAILURE_KIND_QUARANTINED`) instead of
-being retried forever.  Quarantine folds into the existing
+being retried forever.  Without a watchdog the budget is the attempt
+budget but at least two deaths: a death names every job in flight,
+so one death alone convicts no one.  Quarantine folds into the existing
 ERR-cell/``strict=`` sweep semantics, and the sweep runner records it
 into the checkpoint so a ``--resume`` does not re-hang on the same
 point.
-
-The beat files double as a suspect list for genuine pool deaths: when
-the pool breaks *without* a watchdog kill, only the jobs that had
-started and not finished are charged a strike, so a job that crashes
-its worker every time it runs is quarantined before the in-process
-fallback would have run it in (and taken down) the parent.
 
 Clock note: beat timestamps are ``time.monotonic()`` values compared
 across processes, which is sound on the platforms that can run worker
@@ -50,24 +50,16 @@ pools at all -- CLOCK_MONOTONIC is system-wide, not per-process.
 from __future__ import annotations
 
 import os
-import shutil
 import signal
-import tempfile
 import threading
 import time
-from concurrent.futures import Future, ProcessPoolExecutor, as_completed
-from typing import Callable, Dict, Optional, Set, TypeVar, Union
+from concurrent.futures import Future
+from typing import Callable, Dict, Optional, Set, TypeVar
 
-from repro.errors import ConfigurationError, JobTimeoutError
-from repro.resilience.report import (
-    FAILURE_KIND_QUARANTINED,
-    FAILURE_KIND_TIMEOUT,
-    JobFailure,
-)
+from repro.errors import ConfigurationError
 from repro.resilience.retry import RetryPolicy
 
 T = TypeVar("T")
-R = TypeVar("R")
 
 #: Default monitor poll cadence; per-watchdog it is additionally
 #: capped at a quarter of the deadline so short deadlines stay sharp.
@@ -249,157 +241,3 @@ class _Monitor(threading.Thread):
         self._halt.set()
         if self.is_alive():
             self.join()
-
-
-def supervised_map(
-    fn: Callable[[T], R],
-    jobs,
-    effective: int,
-    retry: RetryPolicy,
-    capture_failures: bool,
-    on_result: Optional[Callable[[int, R], None]],
-    on_failure: Optional[Callable[[int, JobFailure], None]],
-    watchdog: Watchdog,
-) -> Dict[int, Union[R, JobFailure]]:
-    """Deadline-supervised variant of the pooled map.
-
-    Same contract as ``repro.parallel._pooled_map`` plus supervision:
-    jobs that hang past ``watchdog.timeout_s`` are killed and requeued,
-    and any job exhausting its per-job strike budget (hangs or worker
-    deaths) is quarantined -- captured as a
-    :class:`~repro.resilience.report.JobFailure` when
-    ``capture_failures`` is on, raised as
-    :class:`~repro.errors.JobTimeoutError` otherwise.
-
-    Pool-level failures that implicate no particular job still consume
-    the global ``retry`` budget and end in the in-process fallback --
-    which cannot preempt a hung function, so the fallback warning says
-    deadlines are no longer enforced.
-    """
-    from repro import parallel as _parallel  # runtime import: no cycle
-
-    results: Dict[int, Union[R, JobFailure]] = {}
-    pending: Dict[int, T] = dict(enumerate(jobs))
-    strikes: Dict[int, int] = {}
-    budget = watchdog.strike_budget(retry)
-    pool_failures = 0
-    round_no = 0
-    beat_dir = tempfile.mkdtemp(prefix="repro-watchdog-")
-
-    def strike(index: int, kind: str, detail: str) -> None:
-        """Charge one strike; quarantine on budget exhaustion."""
-        strikes[index] = strikes.get(index, 0) + 1
-        if strikes[index] < budget:
-            return  # requeue: the job stays pending
-        job = pending.pop(index)
-        watchdog.quarantined += 1
-        message = (
-            f"{detail} on {strikes[index]} attempt(s) "
-            f"(deadline {watchdog.timeout_s:g} s); quarantined"
-        )
-        if not capture_failures:
-            raise JobTimeoutError(f"job {index} ({job!r}) {message}")
-        failure = JobFailure.from_quarantine(
-            index,
-            job,
-            kind=kind,
-            message=message,
-            error_type=(
-                "JobTimeoutError" if kind == FAILURE_KIND_TIMEOUT else "WorkerLost"
-            ),
-        )
-        results[index] = failure
-        deliver(on_failure, index, failure)
-
-    try:
-        while pending:
-            round_no += 1
-            tag = str(round_no)
-            monitor: Optional[_Monitor] = None
-            try:
-                max_workers = min(effective, len(pending))
-                with ProcessPoolExecutor(max_workers=max_workers) as pool:
-                    futures = {
-                        pool.submit(
-                            _watched_call, fn, job, index, beat_dir, tag
-                        ): index
-                        for index, job in pending.items()
-                    }
-                    monitor = _Monitor(
-                        beat_dir,
-                        tag,
-                        {index: future for future, index in futures.items()},
-                        watchdog,
-                    )
-                    monitor.start()
-                    for future in as_completed(futures):
-                        index = futures[future]
-                        exc = future.exception()
-                        if exc is None:
-                            value = future.result()
-                            results[index] = value
-                            del pending[index]
-                            deliver(on_result, index, value)
-                        elif isinstance(exc, _parallel._TRANSIENT_FUTURE_ERRORS):
-                            raise exc
-                        else:
-                            job = pending.pop(index)
-                            if not capture_failures:
-                                raise exc
-                            failure = JobFailure.from_exception(index, job, exc)
-                            results[index] = failure
-                            deliver(on_failure, index, failure)
-            except _parallel._POOL_ERRORS as exc:
-                killed = (
-                    monitor.killed & set(pending) if monitor is not None else set()
-                )
-                if killed:
-                    # A watchdog round: the hung jobs alone are charged;
-                    # every other unfinished job requeues for free and
-                    # the global pool-failure budget is untouched.
-                    for index in sorted(killed):
-                        watchdog.timeouts += 1
-                        strike(
-                            index,
-                            FAILURE_KIND_TIMEOUT,
-                            "hung past the watchdog deadline",
-                        )
-                    continue
-                # A genuine pool death: charge the started-but-
-                # unfinished jobs (the beat files name the suspects) so
-                # a job that kills its worker every time is quarantined
-                # instead of ever reaching the in-process fallback.
-                suspects = sorted(
-                    index
-                    for index in pending
-                    if _read_beat(beat_dir, tag, index) is not None
-                )
-                for index in suspects:
-                    strike(
-                        index,
-                        FAILURE_KIND_QUARANTINED,
-                        f"worker died ({type(exc).__name__})",
-                    )
-                pool_failures += 1
-                if not pending:
-                    continue
-                if pool_failures >= retry.max_attempts:
-                    _parallel._warn_fallback(
-                        f"{type(exc).__name__}: {exc} (after {pool_failures} "
-                        f"pool attempt(s)); finishing {len(pending)} job(s) "
-                        "in-process -- deadlines are NOT enforced in-process"
-                    )
-                    _parallel._serial_map(
-                        fn, pending, results, capture_failures, on_result,
-                        on_failure,
-                    )
-                else:
-                    delay = retry.delay_s(pool_failures)
-                    if delay > 0:
-                        time.sleep(delay)
-            finally:
-                if monitor is not None:
-                    monitor.stop()
-    finally:
-        shutil.rmtree(beat_dir, ignore_errors=True)
-    return results

@@ -3,19 +3,12 @@
 :class:`PhaseProfiler` attributes wall-clock to named phases of the
 simulation pipeline -- the :func:`repro.analysis.sweep.simulate_use_case`
 stack records ``load.build``, ``load.scale``, ``load.generate``,
-``system.interleave``, ``system.engine``, ``system.pool`` and
-``power.integrate`` -- and renders the totals as a
-:class:`ProfileReport`.
+``system.interleave``, ``system.engine`` and ``power.integrate`` --
+and renders the totals as a :class:`ProfileReport`.
 
 Phases are *accumulated*: simulating forty sweep points through one
 profiler yields the aggregate phase breakdown of the whole campaign,
 which is exactly what ``repro-sim profile <figure>`` prints.
-
-Note on overlap: in pooled runs the ``system.pool`` phase is the
-dispatch wall-clock (which *contains* the workers' engine time) while
-``system.engine`` is the sum of worker-side engine seconds; the two
-overlap deliberately, so the pool's dispatch overhead is readable as
-``system.pool`` minus ``system.engine`` / workers.
 """
 
 from __future__ import annotations

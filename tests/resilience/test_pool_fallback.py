@@ -2,7 +2,7 @@
 
 ``parallel_map`` promises that abandoning the pool never changes the
 answer -- only a :class:`~repro.parallel.PoolFallbackWarning` tells
-the caller parallelism was lost.  The three documented fallback
+the caller the pool was lost.  The three documented fallback
 reasons are pinned here, each against real simulations parametrized
 over all three backends:
 

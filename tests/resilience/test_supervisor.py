@@ -182,7 +182,7 @@ class TestHangDetection:
         assert out[0] == 1
         assert isinstance(out[1], JobFailure)
 
-    def test_unsupervised_map_is_unchanged(self):
+    def test_map_without_deadline_is_unchanged(self):
         assert parallel_map(_square, range(8), workers=2) == [
             n * n for n in range(8)
         ]
@@ -190,15 +190,19 @@ class TestHangDetection:
 
 @needs_pool
 class TestCrasherQuarantine:
-    def test_permanent_crasher_is_quarantined_before_fallback(self):
+    @pytest.mark.parametrize("timeout_s", [30.0, None])
+    def test_permanent_crasher_is_quarantined_before_fallback(
+        self, timeout_s
+    ):
         # A job that kills its worker on every attempt must be written
-        # off by the supervisor -- if it ever reached the in-process
-        # fallback its os._exit would take down the test process.
+        # off by the pooled loop, with or without a deadline -- if it
+        # ever reached the in-process fallback its os._exit would take
+        # down the test process.
         out = parallel_map(
             _crash_on_two,
             range(4),
             workers=2,
-            timeout_s=30.0,
+            timeout_s=timeout_s,
             capture_failures=True,
         )
         failure = out[2]

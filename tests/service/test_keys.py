@@ -1,5 +1,6 @@
 """Tests for the canonical job-key module (:mod:`repro.keys`)."""
 
+import dataclasses
 import enum
 import json
 import subprocess
@@ -8,8 +9,20 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.analysis.sweep import _job_description, job_keys
+from repro.analysis.sweep import (
+    _job_description,
+    job_keys,
+    point_key,
+    simulate_use_case,
+)
+from repro.controller.interconnect import InterconnectModel
+from repro.controller.mapping import AddressMultiplexing
+from repro.controller.pagepolicy import PagePolicy
+from repro.controller.queue import CommandQueueModel
 from repro.core.config import SystemConfig
+from repro.dram.datasheet import CONTEMPORARY_MOBILE_DDR
+from repro.dram.powerstate import NoPowerDown
+from repro.errors import ReproError
 from repro.keys import (
     ENGINE_VERSION,
     canonical_fragment,
@@ -229,3 +242,73 @@ class TestJobKeys:
             assert a != b
         finally:
             unregister_workload("vdcm_display")
+
+
+#: For every keyed ``SystemConfig`` field that can change a result: a
+#: value that changes the outcome of the witness point (level 3.1, one
+#: reference channel at 400 MHz).
+_WITNESSES = {
+    "channels": 2,
+    "freq_mhz": 200.0,
+    # Rated to 200 MHz: the outcome is the error raised at 400 MHz.
+    "device": CONTEMPORARY_MOBILE_DDR,
+    "multiplexing": AddressMultiplexing.BRC,
+    "page_policy": PagePolicy.CLOSED,
+    "power_down": NoPowerDown(),
+    "interconnect": InterconnectModel(address_cycles_per_access=0.0),
+    "queue": CommandQueueModel(depth=1),
+    "backend": "analytic",
+}
+
+#: Fields that stay in the point key although no value of theirs
+#: changes a point's outcome, each with a value that must still move
+#: the key and the reason it is kept.
+_KEYED_WITHOUT_EFFECT = {
+    # Audits the run it rides on and leaves the result alone, but an
+    # invariant-checked run must never be answered by an unchecked
+    # cache entry.
+    "check_invariants": True,
+}
+
+_WITNESS_LEVEL = level_by_name("3.1")
+
+
+def _outcome(make_config):
+    """A point's result, or the error raised on the way to it."""
+    try:
+        point = simulate_use_case(
+            _WITNESS_LEVEL, make_config(), chunk_budget=2000
+        )
+    except ReproError as exc:
+        return (type(exc).__name__, str(exc))
+    return (point.result, point.power, point.verdict)
+
+
+class TestSystemConfigKeyContract:
+    """Every ``SystemConfig`` field lands in every point key, so a
+    field that cannot change a result makes a warm cache miss for
+    nothing.  Each field either changes some outcome or is kept in the
+    key on purpose; a new field without that decision fails here."""
+
+    def test_every_field_is_decided(self):
+        names = {field.name for field in dataclasses.fields(SystemConfig)}
+        assert not set(_WITNESSES) & set(_KEYED_WITHOUT_EFFECT)
+        assert names == set(_WITNESSES) | set(_KEYED_WITHOUT_EFFECT)
+
+    @pytest.mark.parametrize("name", sorted(_WITNESSES))
+    def test_field_changes_an_outcome(self, name):
+        base = SystemConfig(backend="reference")
+        changed = _outcome(
+            lambda: dataclasses.replace(base, **{name: _WITNESSES[name]})
+        )
+        assert changed != _outcome(lambda: base)
+
+    @pytest.mark.parametrize("name", sorted(_KEYED_WITHOUT_EFFECT))
+    def test_exempt_field_stays_keyed(self, name):
+        base = SystemConfig(backend="reference")
+        changed = dataclasses.replace(
+            base, **{name: _KEYED_WITHOUT_EFFECT[name]}
+        )
+        assert point_key(_WITNESS_LEVEL, changed) != point_key(
+            _WITNESS_LEVEL, base
+        )
