@@ -54,6 +54,8 @@ protocol audits and closed-page studies behave identically to
 
 from __future__ import annotations
 
+import hashlib
+import marshal
 from collections import OrderedDict
 from typing import Optional
 
@@ -75,7 +77,8 @@ MIN_BATCH = 4
 #: a whole frequency sweep hits the cache after its first point.
 DECODE_CACHE_SIZE = 32
 
-#: Content-keyed LRU: (runs, mapping params) -> _DecodedStream.
+#: Content-keyed LRU: (runs digest, run count, mapping params) ->
+#: _DecodedStream (see :func:`_runs_digest`).
 _DECODE_CACHE: "OrderedDict[tuple, _DecodedStream]" = OrderedDict()
 _CACHE_STATS = {
     "hits": 0,
@@ -182,10 +185,34 @@ def _decode_stream(runs: ChannelRuns, mapping) -> _DecodedStream:
     return _DecodedStream(segments, n_rd, n_wr, tuple(bank_counts))
 
 
+def _runs_digest(runs: ChannelRuns) -> bytes:
+    """SHA-256 of the run values, independent of object sharing.
+
+    ``marshal`` format 2 writes every int by value; format 3 and later
+    write back-references to objects seen before, so two equal run
+    lists whose large ints are shared differently would serialise
+    differently.  A raw run tuple may carry an ``int`` subclass (an
+    :class:`~repro.controller.request.Op` member), which ``marshal``
+    rejects; such runs are keyed by their plain ``int`` values.
+    """
+    try:
+        blob = marshal.dumps(runs, 2)
+    except ValueError:
+        blob = marshal.dumps(tuple(tuple(map(int, run)) for run in runs), 2)
+    return hashlib.sha256(blob).digest()
+
+
 def _decode_cached(runs: ChannelRuns, mapping) -> _DecodedStream:
-    """LRU-cached decode, keyed by run content + mapping parameters."""
+    """LRU-cached decode, keyed by run content + mapping parameters.
+
+    The key holds a digest of the runs, not the runs tuple itself, so
+    a cached segment table pins no split: once a sweep drops its
+    shared traffic, the run tuples are freed even while their decodes
+    stay cached.
+    """
     key = (
-        runs,
+        _runs_digest(runs),
+        len(runs),
         mapping.bank_shift,
         mapping.bank_mask,
         mapping.row_shift,
@@ -224,8 +251,9 @@ class BatchChannelEngine(ChannelEngine):
         :meth:`~repro.controller.engine.ChannelEngine.run` validates
         with :func:`~repro.controller.engine.check_runs` first; a
         :class:`~repro.core.system.ChannelSplit` is checked once when
-        it is made), and it keys the decode cache as it is: every
-        clock of a shared split looks up that split's own tuple.
+        it is made), and it keys the decode cache by a digest of its
+        values: every clock of a shared split hits the decode of its
+        first clock.
 
         The stepped branch is the reference engine's loop body, kept
         textually in sync; the batch branch is that body's closed form

@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     Any,
@@ -57,7 +57,6 @@ from repro.core.config import (
     SystemConfig,
 )
 from repro.errors import ConfigurationError
-from repro.keys import canonical_key
 from repro.load.model import DEFAULT_BLOCK_BYTES
 from repro.load.scaling import DEFAULT_CHUNK_BUDGET
 from repro.oracle.planner import (
@@ -216,7 +215,7 @@ class FeasibilityOracle:
         self.telemetry = telemetry
         self.probe_channels = tuple(probe_channels)
         self.probe_freqs = tuple(probe_freqs)
-        self._surfaces: Dict[str, SurrogateSurface] = {}
+        self._surfaces: Dict[tuple, SurrogateSurface] = {}
         self._checkpoint_payloads: Optional[Dict[str, Any]] = None
         if telemetry is not None:
             for name in _COUNTERS:
@@ -258,21 +257,28 @@ class FeasibilityOracle:
         under, workload identity included -- is looked up in the
         attached stores.  No directory scanning, so a cache shared
         across workloads can never leak foreign points onto a surface.
+
+        Built surfaces are filed in memory under a plain tuple of the
+        level, the workload's name, resolved parameters and
+        :meth:`~repro.workloads.spec.WorkloadSpec.structure_digest`
+        (stored on the spec after its first call), and this oracle's
+        scale, chunk budget and block size: the fields a canonical
+        key would hash, compared by value, so a warm query hashes a
+        few small objects instead of serialising the workload.
         """
         bound = (
             workload
             if isinstance(workload, BoundWorkload)
             else resolve_workload(workload)
         )
-        surface_key = canonical_key(
-            {
-                "kind": "oracle-surface",
-                "level": level,
-                "workload": bound.identity(),
-                "scale": self.scale,
-                "chunk_budget": self.chunk_budget,
-                "block_bytes": self.block_bytes,
-            }
+        surface_key = (
+            level,
+            bound.name,
+            bound.params,
+            bound.spec.structure_digest(),
+            self.scale,
+            self.chunk_budget,
+            self.block_bytes,
         )
         surface = self._surfaces.get(surface_key)
         if surface is not None:
@@ -336,8 +342,7 @@ class FeasibilityOracle:
         # against the device envelope before any tier runs.
         config = SystemConfig(channels=channels, freq_mhz=freq_mhz)
         surface = self.surface_for(level, bound)
-        answer = self._answer(level, config, accuracy, bound, surface)
-        answer = replace(answer, latency_s=time.perf_counter() - start)
+        answer = self._answer(level, config, accuracy, bound, surface, start)
         if self.telemetry is not None:
             registry = self.telemetry.registry
             registry.counter("oracle.queries").add(1)
@@ -355,12 +360,15 @@ class FeasibilityOracle:
         accuracy: float,
         bound: BoundWorkload,
         surface: SurrogateSurface,
+        start: float,
     ) -> OracleAnswer:
+        """The answer to one validated query; ``latency_s`` is measured
+        from ``start`` up to the answer's construction."""
         exact_hit = surface.exact(config.channels, config.freq_mhz)
         if exact_hit is not None:
             return self._from_point(
                 level, config, accuracy, bound, exact_hit,
-                tier=TIER_EXACT, error_bound=0.0, escalations=0,
+                tier=TIER_EXACT, error_bound=0.0, escalations=0, start=start,
             )
         estimate = surface.estimate(
             config.channels,
@@ -397,6 +405,7 @@ class FeasibilityOracle:
                 error_bound=estimate.error_bound,
                 verdict_certain=estimate.verdict_certain,
                 escalations=plan.escalations,
+                latency_s=time.perf_counter() - start,
             )
         point = self._simulate(level, config.with_backend(plan.backend), bound)
         if plan.tier == TIER_EXACT:
@@ -407,7 +416,7 @@ class FeasibilityOracle:
         return self._from_point(
             level, config, accuracy, bound, point,
             tier=plan.tier, error_bound=plan.error_bound,
-            escalations=plan.escalations,
+            escalations=plan.escalations, start=start,
         )
 
     def _simulate(
@@ -442,6 +451,7 @@ class FeasibilityOracle:
         tier: str,
         error_bound: float,
         escalations: int,
+        start: float,
     ) -> OracleAnswer:
         access = point.access_time_ms
         power = point.total_power_mw
@@ -476,6 +486,7 @@ class FeasibilityOracle:
             verdict_certain=verdict_certain,
             escalations=escalations,
             point=point,
+            latency_s=time.perf_counter() - start,
         )
 
 

@@ -73,11 +73,14 @@ class SurrogateSurface:
 
     ``insert`` only ever receives exact-tier points (the oracle
     enforces bit-identical backends at harvest time); ``exact`` serves
-    grid hits verbatim and ``estimate`` interpolates between them.
+    grid hits verbatim and ``estimate`` interpolates between them,
+    reading each point's ``(access_time_ms, total_power_mw)`` as
+    ``insert`` stored it.
     """
 
     def __init__(self) -> None:
         self._points: Dict[int, Dict[float, SweepPoint]] = {}
+        self._values: Dict[int, Dict[float, Tuple[float, float]]] = {}
         self._freqs: Dict[int, List[float]] = {}
 
     def __len__(self) -> int:
@@ -99,6 +102,10 @@ class SurrogateSurface:
         if f not in per:
             insort(self._freqs.setdefault(m, []), f)
         per[f] = point
+        self._values.setdefault(m, {})[f] = (
+            point.access_time_ms,
+            point.total_power_mw,
+        )
 
     def exact(self, channels: int, freq_mhz: float) -> Optional[SweepPoint]:
         """The harvested point at exactly (channels, freq), if any."""
@@ -126,24 +133,25 @@ class SurrogateSurface:
             return None
         hi_index = bisect_left(freqs, freq_mhz)
         f_lo, f_hi = freqs[hi_index - 1], freqs[hi_index]
-        lo = self._points[channels][f_lo]
-        hi = self._points[channels][f_hi]
+        values = self._values[channels]
+        access_lo, power_lo = values[f_lo]
+        access_hi, power_hi = values[f_hi]
 
         # Access time ~ cycles / f: interpolate linearly in the period
         # u = 1/f, which is exact for that first-order law.
         u, u_lo, u_hi = 1.0 / freq_mhz, 1.0 / f_lo, 1.0 / f_hi
         w = (u - u_hi) / (u_lo - u_hi)
-        access = hi.access_time_ms + w * (lo.access_time_ms - hi.access_time_ms)
-        access_low = min(lo.access_time_ms, hi.access_time_ms)
-        access_high = max(lo.access_time_ms, hi.access_time_ms)
+        access = access_hi + w * (access_lo - access_hi)
+        access_low = min(access_lo, access_hi)
+        access_high = max(access_lo, access_hi)
         # Linear interpolation always lands inside the bracket, but be
         # explicit: the interval is the contract, the estimate a guess.
         access = min(max(access, access_low), access_high)
 
         w_f = (freq_mhz - f_lo) / (f_hi - f_lo)
-        power = lo.total_power_mw + w_f * (hi.total_power_mw - lo.total_power_mw)
-        power_low = min(lo.total_power_mw, hi.total_power_mw)
-        power_high = max(lo.total_power_mw, hi.total_power_mw)
+        power = power_lo + w_f * (power_hi - power_lo)
+        power_low = min(power_lo, power_hi)
+        power_high = max(power_lo, power_hi)
         power = min(max(power, power_low), power_high)
 
         if access > 0:

@@ -567,7 +567,19 @@ class WorkloadSpec:
         every sweep job's canonical key, so two registered specs that
         share a name but differ in structure can never alias stored
         results.
+
+        Computed once per spec: the digest is stored on the instance
+        outside the dataclass fields, so it shows in none of ``==``,
+        ``hash``, ``repr``, :meth:`to_dict` or the canonical key
+        projection, and it travels with the spec through pickling.
         """
+        digest = self.__dict__.get("_structure_digest")
+        if digest is None:
+            digest = self._compute_structure_digest()
+            object.__setattr__(self, "_structure_digest", digest)
+        return digest
+
+    def _compute_structure_digest(self) -> str:
         import json
 
         fragment = {

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from repro.backends import batch as batch_module
 from repro.backends.registry import get_backend
 from repro.controller.mapping import AddressMapping, AddressMultiplexing
+from repro.controller.request import Op
 from repro.core.channel import Channel
 from repro.core.config import PagePolicy, SystemConfig
 from repro.errors import AddressError
@@ -130,6 +131,49 @@ class TestDecodeCache:
         for i in range(batch_module.DECODE_CACHE_SIZE + 4):
             Channel(config).run([(0, i * 16, 64)])
         assert len(batch_module._DECODE_CACHE) == batch_module.DECODE_CACHE_SIZE
+
+    def test_keys_depend_on_run_values_only(self, fresh_cache):
+        # Equal run lists built independently hit one entry even when
+        # their large ints are shared differently: one list reuses a
+        # single arrival object, the other parses every int afresh
+        # (marshal format 3+ would serialise the two differently).
+        mapping = AddressMapping.build(GEOMETRY, AddressMultiplexing.RBC)
+        arrival = 10**12 + 7
+        shared = tuple(
+            (i % 2, (MAX_CHUNK >> 1) + 64 * i, 48, arrival) for i in range(8)
+        )
+        fresh = tuple(
+            (
+                int(str(i % 2)),
+                int(str((MAX_CHUNK >> 1) + 64 * i)),
+                int(str(48)),
+                int(str(10**12 + 7)),
+            )
+            for i in range(8)
+        )
+        assert fresh == shared and fresh[0][3] is not shared[0][3]
+        first = batch_module._decode_cached(shared, mapping)
+        assert batch_module._decode_cached(fresh, mapping) is first
+        assert batch_module.decode_cache_stats()["misses"] == 1
+        for field in range(4):
+            changed = list(fresh)
+            run = list(changed[3])
+            run[field] = 1 - run[field] if field == 0 else run[field] + 1
+            changed[3] = tuple(run)
+            batch_module._decode_cached(tuple(changed), mapping)
+        assert batch_module._decode_cached(shared[:-1], mapping) is not first
+        stats = batch_module.decode_cache_stats()
+        assert (stats["lookups"], stats["misses"]) == (7, 6)
+
+    def test_op_members_key_as_their_int_values(self, fresh_cache):
+        # marshal rejects int subclasses; a raw run carrying an Op
+        # member still decodes, under the plain-int runs' entry.
+        config = SystemConfig(channels=1, backend="batch")
+        plain = Channel(config).run([(0, 0, 512), (1, 4096, 512)])
+        members = Channel(config).run([(Op.READ, 0, 512), (Op.WRITE, 4096, 512)])
+        assert members == plain
+        stats = batch_module.decode_cache_stats()
+        assert (stats["lookups"], stats["misses"]) == (2, 1)
 
     def test_stats_ledger_closes_after_real_runs(self, fresh_cache):
         # Overflow the cache with distinct run lists, revisit a few:

@@ -5,8 +5,9 @@
 simulator's non-validating ``run_trusted``.  Pinned here, for every
 built-in backend: that entry gives exactly what the validating
 ``Channel.run`` gives over the same runs, and batch's decode cache
-keys a shared split by the split's own runs tuples.  The rejection of
-malformed runs lives in ``tests/resilience/test_faults.py``.
+keys a shared split once per channel, by a digest that holds no run
+tuple.  The rejection of malformed runs lives in
+``tests/resilience/test_faults.py``.
 """
 
 import pytest
@@ -89,6 +90,11 @@ def test_trusted_entry_equals_channel_run(backend, stream, freq):
     assert phases == {"system.engine": 1}
 
 
+def _holds_runs(key):
+    """Whether a decode-cache key keeps any tuple alive."""
+    return any(isinstance(part, tuple) for part in key)
+
+
 def test_shared_split_keys_the_decode_cache_by_its_own_runs(fresh_cache):
     split = MultiChannelMemorySystem(
         SystemConfig(channels=2, backend="batch")
@@ -98,8 +104,8 @@ def test_shared_split_keys_the_decode_cache_by_its_own_runs(fresh_cache):
             SystemConfig(channels=2, freq_mhz=freq, backend="batch")
         ).run_split(split)
     keys = list(batch_module._DECODE_CACHE)
-    assert [key[0] for key in keys] == list(split.runs)
-    assert all(key[0] is runs for key, runs in zip(keys, split.runs))
+    assert len(keys) == len(split.runs)
+    assert not any(_holds_runs(key) for key in keys)
     stats = batch_module.decode_cache_stats()
     assert (stats["lookups"], stats["misses"]) == (
         2 * len(PAPER_FREQUENCIES_MHZ), 2
@@ -108,7 +114,8 @@ def test_shared_split_keys_the_decode_cache_by_its_own_runs(fresh_cache):
 
 def test_grid_ledger_and_keys_come_from_the_splits(fresh_cache, monkeypatch):
     """The paper grid's decode ledger is unchanged, and every cached
-    key is one of the sweep's own split tuples, not a copy of one."""
+    key is the digest of one of the sweep's split channels, holding no
+    run tuple."""
     made = []
     split = MultiChannelMemorySystem.split
 
@@ -126,8 +133,13 @@ def test_grid_ledger_and_keys_come_from_the_splits(fresh_cache, monkeypatch):
     stats = batch_module.decode_cache_stats()
     assert (stats["lookups"], stats["hits"], stats["evictions"]) == (450, 375, 43)
     assert len(made) == len(PAPER_LEVELS) * len(PAPER_CHANNEL_COUNTS)
-    made_ids = {id(runs) for s in made for runs in s.runs}
-    assert all(id(key[0]) in made_ids for key in batch_module._DECODE_CACHE)
+    channel_keys = {
+        batch_module._runs_digest(runs) for s in made for runs in s.runs
+    }
+    assert len(channel_keys) == stats["misses"]
+    keys = list(batch_module._DECODE_CACHE)
+    assert all(key[0] in channel_keys for key in keys)
+    assert not any(_holds_runs(key) for key in keys)
 
 
 class _RecordingSimulator(ChannelSimulator):

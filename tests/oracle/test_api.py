@@ -1,5 +1,7 @@
 """End-to-end tests for :class:`repro.oracle.api.FeasibilityOracle`."""
 
+import dataclasses
+
 import pytest
 
 from repro.analysis.sweep import sweep_use_case
@@ -10,6 +12,7 @@ from repro.regression.fuzzer import _diff_exact
 from repro.service.cache import ResultCache
 from repro.telemetry import Telemetry
 from repro.usecase.levels import level_by_name
+from repro.workloads.registry import get_workload, resolve_workload
 
 LEVEL = level_by_name("3.1")
 SCALE = 1 / 256
@@ -59,6 +62,40 @@ class TestHarvest:
         oracle = FeasibilityOracle(cache=cache, scale=SCALE)
         assert oracle.warm(LEVEL) == 0
         assert oracle.warm(LEVEL, workload="vvc_encoder") == 2 * len(GRID_FREQS)
+
+    def test_bound_params_separate_surfaces(self, tmp_path):
+        # Same workload name, different resolved parameters: the
+        # variant gets its own surface and harvests nothing from a
+        # cache warmed under the defaults.
+        cache = _warm_cache(tmp_path / "cache", workload="vvc_encoder")
+        oracle = FeasibilityOracle(cache=cache, scale=SCALE)
+        default = resolve_workload("vvc_encoder")
+        variant = default.with_params(ref_lists=1)
+        assert oracle.warm(LEVEL, workload=default) == 2 * len(GRID_FREQS)
+        assert oracle.warm(LEVEL, workload=variant) == 0
+        assert oracle.surface_for(LEVEL, variant) is not oracle.surface_for(
+            LEVEL, default
+        )
+
+    def test_spec_structure_separates_surfaces(self, tmp_path):
+        # Same name and parameters, different traffic structure: a
+        # separate surface that harvests nothing from the original's
+        # points.
+        cache = _warm_cache(tmp_path / "cache", workload="vvc_encoder")
+        oracle = FeasibilityOracle(cache=cache, scale=SCALE)
+        spec = get_workload("vvc_encoder")
+        restructured = dataclasses.replace(
+            spec,
+            derived=spec.derived[:-1]
+            + (("stream_bytes", "max(32, int(v_frame / 8) + 16)"),),
+        )
+        assert restructured.name == spec.name
+        assert restructured.structure_digest() != spec.structure_digest()
+        assert oracle.warm(LEVEL, workload=spec) == 2 * len(GRID_FREQS)
+        assert oracle.warm(LEVEL, workload=restructured) == 0
+        assert oracle.surface_for(LEVEL, restructured) is not oracle.surface_for(
+            LEVEL, spec
+        )
 
     def test_checkpoint_is_a_harvest_source(self, tmp_path):
         checkpoint = tmp_path / "sweep.ckpt"

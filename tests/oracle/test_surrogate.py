@@ -42,6 +42,15 @@ class TestStorage:
         assert len(surface) == 1
         assert surface.exact(2, 400.0) is newer
 
+    def test_reinsert_updates_what_estimate_reads(self):
+        surface = _surface(
+            [_Point(2, 200.0, 20.0, 100.0), _Point(2, 400.0, 10.0, 150.0)]
+        )
+        surface.insert(_Point(2, 400.0, 12.0, 160.0))
+        est = surface.estimate(2, 300.0, frame_period_ms=66.7)
+        assert (est.access_low_ms, est.access_high_ms) == (12.0, 20.0)
+        assert (est.power_low_mw, est.power_high_mw) == (100.0, 160.0)
+
 
 class TestInterpolation:
     def test_inverse_frequency_law_is_interpolated_exactly(self):

@@ -180,6 +180,36 @@ class TestStructureDigest:
         b = _spec(derived=(("frame_bits", "yuv420 * n * 2"), a.derived[1]))
         assert a.structure_digest() != b.structure_digest()
 
+    def test_stored_digest_matches_a_fresh_equal_spec(self):
+        spec = _spec()
+        first = spec.structure_digest()
+        assert spec.structure_digest() is first
+        assert _spec().structure_digest() == first
+        assert spec._compute_structure_digest() == first
+
+    def test_stored_digest_survives_pickling(self):
+        import pickle
+
+        spec = _spec()
+        digest = spec.structure_digest()
+        clone = pickle.loads(pickle.dumps(spec))
+        assert clone.__dict__.get("_structure_digest") == digest
+        assert clone.structure_digest() == digest
+
+    def test_stored_digest_is_invisible(self):
+        from repro.keys import canonical_fragment
+
+        spec, plain = _spec(), _spec()
+        spec.structure_digest()
+        assert "_structure_digest" in spec.__dict__
+        assert "_structure_digest" not in plain.__dict__
+        assert spec == plain
+        assert hash(spec) == hash(plain)
+        assert repr(spec) == repr(plain)
+        assert spec.to_dict() == plain.to_dict()
+        assert canonical_fragment(spec) == canonical_fragment(plain)
+        assert "_structure_digest" not in repr(canonical_fragment(spec))
+
 
 class TestBinding:
     def test_bind_resolves_defaults(self):
