@@ -86,15 +86,10 @@ class AnalyticChannelSimulator(ChannelSimulator):
         cfg = self.config
         t = self.timing
 
-        # (bank, row) changes whenever any chunk bit at or above the
-        # lowest decode shift changes; one aligned 2**seg_shift block is
-        # one open row's worth of sequential chunks.
-        m = self.mapping
-        seg_shift = min(
-            (m.bank_shift, m.row_shift, m.xor_shift)
-            if m.xor_mask
-            else (m.bank_shift, m.row_shift)
-        )
+        # (bank, row) can change only at an aligned 2**block_shift
+        # boundary; one block is one open row's worth of sequential
+        # chunks.
+        block_shift = self.mapping.block_shift
 
         closed_page = not cfg.page_policy.keeps_rows_open
         nbanks = cfg.device.geometry.banks
@@ -124,8 +119,8 @@ class AnalyticChannelSimulator(ChannelSimulator):
                     pd_entries += 1
                 end = float(arrival)
 
-            first_block = start >> seg_shift
-            last_block = (start + count - 1) >> seg_shift
+            first_block = start >> block_shift
+            last_block = (start + count - 1) >> block_shift
             acts = last_block - first_block + 1
             if first_block == prev_block:
                 acts -= 1

@@ -16,9 +16,9 @@ three steps:
 
 1. **Segment decode.**  The run list is decoded once into a *segment
    table*: maximal stretches of accesses that share (op, bank, row) --
-   broken at direction switches, at 2**seg_shift address blocks (the
-   coarsest granularity at which any decode input can change; row
-   crossings and bank rotations happen only there) and at run
+   broken at direction switches, at aligned 2**block_shift address
+   blocks (:attr:`~repro.controller.mapping.AddressMapping.block_shift`:
+   row crossings and bank rotations happen only there) and at run
    boundaries (where power-down gaps can occur).  The decode is a
    plain-Python walk over each run's blocks, so the backend has no
    dependency beyond the standard library; the timing loop advances
@@ -143,22 +143,15 @@ class _DecodedStream:
 
 def _decode_stream(runs: ChannelRuns, mapping) -> _DecodedStream:
     """Run-list -> segment-table decode (cache miss path)."""
-    # Accesses share (bank, row) while the chunk bits at or above every
-    # decode shift are constant, i.e. within one aligned 2**seg_shift
-    # block.  This needs no row semantics: it is the coarsest
-    # granularity at which *any* decode input can change.
+    # Accesses share (bank, row) within one aligned 2**block_shift
+    # block (see AddressMapping.block_shift).
     bank_shift = mapping.bank_shift
     bank_mask = mapping.bank_mask
     row_shift = mapping.row_shift
     row_mask = mapping.row_mask
     xor_shift = mapping.xor_shift
     xor_mask = mapping.xor_mask
-    seg_shift = min(
-        (bank_shift, row_shift, xor_shift)
-        if xor_mask
-        else (bank_shift, row_shift)
-    )
-    seg_mask = (1 << seg_shift) - 1
+    seg_mask = (1 << mapping.block_shift) - 1
 
     segments = []
     append = segments.append
@@ -310,6 +303,8 @@ class BatchChannelEngine(ChannelEngine):
         ovh_mask = ovh_scale - 1
         ovh_shift = OVERHEAD_SHIFT
         bstep = burst * ovh_scale + ovh_per
+        # Most cycles one access can move bus_free by.
+        step_max = burst + -(-ovh_per // ovh_scale)
 
         qdepth = self.queue.depth
         ring = self.queue.make_ring()
@@ -388,11 +383,13 @@ class BatchChannelEngine(ChannelEngine):
                             n = qdepth
                         # Refresh cap: access a (>= 2) issues its column
                         # command with cmd_free_a = busfree(a-2)-lat+1,
-                        # which must stay below next_ref.
+                        # which must stay below next_ref.  Access n's
+                        # bound busfree(n-2) - bus_free is at most
+                        # (n-2)*step_max, so a far refresh caps nothing.
                         x = next_ref + lat - 2 - bus_free
                         if x < 0:
                             n = 1
-                        else:
+                        elif (n - 2) * step_max > x:
                             i_max = (x * ovh_scale - ovh_acc) // bstep
                             # floor slack can admit at most one more
                             if (

@@ -70,6 +70,17 @@ RunLike = Union[ChannelRun, Tuple[int, int, int], Tuple[int, int, int, int]]
 ChannelRuns = Tuple[Tuple[int, int, int, int], ...]
 
 
+def _unpack_run(run: RunLike) -> Tuple[int, int, int, int]:
+    """``(op, start, count, arrival)`` of a run that is not a 4-tuple."""
+    if isinstance(run, ChannelRun):
+        return int(run.op), run.start_chunk, run.count, run.arrival_cycle
+    if len(run) == 3:
+        op, start, count = run
+        return op, start, count, 0
+    op, start, count, arrival = run
+    return op, start, count, arrival
+
+
 def check_runs(runs: Iterable[RunLike], max_chunk: int) -> ChannelRuns:
     """Validate an access stream into the form the engines trust.
 
@@ -87,17 +98,12 @@ def check_runs(runs: Iterable[RunLike], max_chunk: int) -> ChannelRuns:
     out = []
     append = out.append
     for run in runs:
-        if isinstance(run, ChannelRun):
-            op = int(run.op)
-            start = run.start_chunk
-            count = run.count
-            arrival = run.arrival_cycle
-        elif len(run) == 3:
-            op, start, count = run
-            arrival = 0
-        else:
+        # The split's own form, a 4-tuple, unpacks without a type test.
+        try:
             op, start, count, arrival = run
-        # Both forms pass through the same checks: a ChannelRun can be
+        except (TypeError, ValueError):
+            op, start, count, arrival = _unpack_run(run)
+        # Every form passes through the same checks: a ChannelRun can be
         # malformed too (op is not validated at construction, and
         # frozen dataclasses can still be corrupted), and letting one
         # through silently corrupts the engine's counters.
@@ -339,7 +345,8 @@ class ChannelEngine:
 
         The loop body is deliberately monolithic and local-variable
         heavy: it executes once per 16-byte burst and dominates the
-        simulator's runtime.
+        simulator's runtime.  The ``(bank, row)`` decode sits outside
+        it, once per aligned ``2**mapping.block_shift`` block of a run.
         """
         if self.check_invariants and command_log is None:
             command_log = []
@@ -368,6 +375,7 @@ class ChannelEngine:
         row_mask = self.mapping.row_mask
         xor_shift = self.mapping.xor_shift
         xor_mask = self.mapping.xor_mask
+        block_mask = (1 << self.mapping.block_shift) - 1
 
         nbanks = self.device.geometry.banks
         open_row = [NO_OPEN_ROW] * nbanks
@@ -433,72 +441,172 @@ class ChannelEngine:
                     bus_free = arrival
 
             is_read = op == 0
-            for k in range(count):
-                chunk = start + k
+            # (bank, row) is constant over each aligned 2**block_shift
+            # block of chunks: decode once per block, then step its
+            # bursts.
+            lo = start
+            end = start + count
+            while lo < end:
+                hi = (lo | block_mask) + 1
+                if hi > end:
+                    hi = end
                 bank = (
-                    (chunk >> bank_shift) ^ ((chunk >> xor_shift) & xor_mask)
+                    (lo >> bank_shift) ^ ((lo >> xor_shift) & xor_mask)
                 ) & bank_mask
-                row = (chunk >> row_shift) & row_mask
-
-                # --- refresh ------------------------------------------
-                if cmd_free >= next_ref:
-                    tpre = cmd_free
-                    any_open = False
-                    for b in range(nbanks):
-                        if open_row[b] != NO_OPEN_ROW:
-                            any_open = True
-                            if pre_ready[b] > tpre:
-                                tpre = pre_ready[b]
-                    if any_open:
-                        n_pre += 1  # PREA
-                        tref = tpre + 1 + t_rp
-                        if log_append is not None:
-                            log_append(CommandRecord(tpre, Command.PRECHARGE_ALL))
-                    else:
-                        # All banks already closed, but the most recent
-                        # precharge must still settle for tRP.
-                        tref = tpre
-                        f = last_pre_any + t_rp
-                        if f > tref:
-                            tref = f
-                    if log_append is not None:
-                        log_append(CommandRecord(tref, Command.REFRESH))
-                    ref_done = tref + 1 + t_rfc
-                    for b in range(nbanks):
-                        open_row[b] = NO_OPEN_ROW
-                        if act_ready[b] < ref_done:
-                            act_ready[b] = ref_done
-                    if ref_done > cmd_free:
-                        cmd_free = ref_done
-                    n_ref += 1
-                    next_ref += t_refi
-                    while next_ref <= cmd_free:
-                        # Catch up if a long stall crossed several tREFI.
-                        if log_append is not None:
-                            log_append(CommandRecord(cmd_free, Command.REFRESH))
-                        ref_done = cmd_free + 1 + t_rfc
+                row = (lo >> row_shift) & row_mask
+                bank_accesses[bank] += hi - lo
+                for _ in range(hi - lo):
+                    # --- refresh --------------------------------------
+                    if cmd_free >= next_ref:
+                        tpre = cmd_free
+                        any_open = False
                         for b in range(nbanks):
+                            if open_row[b] != NO_OPEN_ROW:
+                                any_open = True
+                                if pre_ready[b] > tpre:
+                                    tpre = pre_ready[b]
+                        if any_open:
+                            n_pre += 1  # PREA
+                            tref = tpre + 1 + t_rp
+                            if log_append is not None:
+                                log_append(CommandRecord(tpre, Command.PRECHARGE_ALL))
+                        else:
+                            # All banks already closed, but the most recent
+                            # precharge must still settle for tRP.
+                            tref = tpre
+                            f = last_pre_any + t_rp
+                            if f > tref:
+                                tref = f
+                        if log_append is not None:
+                            log_append(CommandRecord(tref, Command.REFRESH))
+                        ref_done = tref + 1 + t_rfc
+                        for b in range(nbanks):
+                            open_row[b] = NO_OPEN_ROW
                             if act_ready[b] < ref_done:
                                 act_ready[b] = ref_done
-                        cmd_free = ref_done
+                        if ref_done > cmd_free:
+                            cmd_free = ref_done
                         n_ref += 1
                         next_ref += t_refi
+                        while next_ref <= cmd_free:
+                            # Catch up if a long stall crossed several tREFI.
+                            if log_append is not None:
+                                log_append(CommandRecord(cmd_free, Command.REFRESH))
+                            ref_done = cmd_free + 1 + t_rfc
+                            for b in range(nbanks):
+                                if act_ready[b] < ref_done:
+                                    act_ready[b] = ref_done
+                            cmd_free = ref_done
+                            n_ref += 1
+                            next_ref += t_refi
 
-                t0 = cmd_free
-                # --- command-queue bound ------------------------------
-                floor = ring[ring_i]
-                if floor > t0:
-                    t0 = floor
-                    n_qstall += 1
+                    t0 = cmd_free
+                    # --- command-queue bound --------------------------
+                    floor = ring[ring_i]
+                    if floor > t0:
+                        t0 = floor
+                        n_qstall += 1
 
-                # --- row management -----------------------------------
-                orow = open_row[bank]
-                if orow != row:
-                    if orow != NO_OPEN_ROW:
-                        n_conflict += 1
+                    # --- row management -------------------------------
+                    orow = open_row[bank]
+                    if orow != row:
+                        if orow != NO_OPEN_ROW:
+                            n_conflict += 1
+                            tpre = pre_ready[bank]
+                            if tpre < t0:
+                                tpre = t0
+                            if tpre < cmd_free:
+                                tpre = cmd_free
+                            cmd_free = tpre + 1
+                            n_pre += 1
+                            last_pre_any = tpre
+                            if log_append is not None:
+                                log_append(CommandRecord(tpre, Command.PRECHARGE, bank))
+                            tact = tpre + t_rp
+                            if act_ready[bank] > tact:
+                                tact = act_ready[bank]
+                        else:
+                            tact = t0
+                            if act_ready[bank] > tact:
+                                tact = act_ready[bank]
+                        rrd_floor = last_act_any + t_rrd
+                        if rrd_floor > tact:
+                            tact = rrd_floor
+                        faw_floor = faw_hist[faw_idx] + t_faw
+                        if faw_floor > tact:
+                            tact = faw_floor
+                        if tact < cmd_free:
+                            tact = cmd_free
+                        cmd_free = tact + 1
+                        faw_hist[faw_idx] = tact
+                        faw_idx = (faw_idx + 1) & 3
+                        if log_append is not None:
+                            log_append(CommandRecord(tact, Command.ACTIVATE, bank, row))
+                        last_act_any = tact
+                        act_ready[bank] = tact + t_rc
+                        pre_ready[bank] = tact + t_ras
+                        col_ready[bank] = tact + t_rcd
+                        open_row[bank] = row
+                        n_act += 1
+
+                    # --- column command -------------------------------
+                    t = col_ready[bank]
+                    if t < t0:
+                        t = t0
+                    if is_read:
+                        f = last_wr_end + t_wtr
+                        if f > t:
+                            t = f
+                        f = bus_free - cas
+                        if f > t:
+                            t = f
+                        if t < cmd_free:
+                            t = cmd_free
+                        cmd_free = t + 1
+                        if log_append is not None:
+                            log_append(CommandRecord(t, Command.READ, bank, row))
+                        ds = t + cas
+                        de = ds + burst
+                        last_rd_end = de
+                        f = t + burst  # read-to-precharge (tRTP ~ BL/2)
+                        if f > pre_ready[bank]:
+                            pre_ready[bank] = f
+                        n_rd += 1
+                    else:
+                        f = last_rd_end + rtw_gap - wl
+                        if f > t:
+                            t = f
+                        f = bus_free - wl
+                        if f > t:
+                            t = f
+                        if t < cmd_free:
+                            t = cmd_free
+                        cmd_free = t + 1
+                        if log_append is not None:
+                            log_append(CommandRecord(t, Command.WRITE, bank, row))
+                        ds = t + wl
+                        de = ds + burst
+                        last_wr_end = de
+                        f = de + t_wr  # write recovery before precharge
+                        if f > pre_ready[bank]:
+                            pre_ready[bank] = f
+                        n_wr += 1
+
+                    # --- interconnect overhead ------------------------
+                    ovh_acc += ovh_per
+                    if ovh_acc >= OVERHEAD_SCALE:
+                        de += ovh_acc >> ovh_shift
+                        ovh_acc &= ovh_mask
+
+                    bus_free = de
+                    ring[ring_i] = ds
+                    ring_i += 1
+                    if ring_i == qdepth:
+                        ring_i = 0
+
+                    # --- closed-page policy: precharge immediately ----
+                    if closed_page:
                         tpre = pre_ready[bank]
-                        if tpre < t0:
-                            tpre = t0
                         if tpre < cmd_free:
                             tpre = cmd_free
                         cmd_free = tpre + 1
@@ -506,104 +614,11 @@ class ChannelEngine:
                         last_pre_any = tpre
                         if log_append is not None:
                             log_append(CommandRecord(tpre, Command.PRECHARGE, bank))
-                        tact = tpre + t_rp
-                        if act_ready[bank] > tact:
-                            tact = act_ready[bank]
-                    else:
-                        tact = t0
-                        if act_ready[bank] > tact:
-                            tact = act_ready[bank]
-                    rrd_floor = last_act_any + t_rrd
-                    if rrd_floor > tact:
-                        tact = rrd_floor
-                    faw_floor = faw_hist[faw_idx] + t_faw
-                    if faw_floor > tact:
-                        tact = faw_floor
-                    if tact < cmd_free:
-                        tact = cmd_free
-                    cmd_free = tact + 1
-                    faw_hist[faw_idx] = tact
-                    faw_idx = (faw_idx + 1) & 3
-                    if log_append is not None:
-                        log_append(CommandRecord(tact, Command.ACTIVATE, bank, row))
-                    last_act_any = tact
-                    act_ready[bank] = tact + t_rc
-                    pre_ready[bank] = tact + t_ras
-                    col_ready[bank] = tact + t_rcd
-                    open_row[bank] = row
-                    n_act += 1
-
-                # --- column command -----------------------------------
-                t = col_ready[bank]
-                if t < t0:
-                    t = t0
-                if is_read:
-                    f = last_wr_end + t_wtr
-                    if f > t:
-                        t = f
-                    f = bus_free - cas
-                    if f > t:
-                        t = f
-                    if t < cmd_free:
-                        t = cmd_free
-                    cmd_free = t + 1
-                    if log_append is not None:
-                        log_append(CommandRecord(t, Command.READ, bank, row))
-                    ds = t + cas
-                    de = ds + burst
-                    last_rd_end = de
-                    f = t + burst  # read-to-precharge (tRTP ~ BL/2)
-                    if f > pre_ready[bank]:
-                        pre_ready[bank] = f
-                    n_rd += 1
-                else:
-                    f = last_rd_end + rtw_gap - wl
-                    if f > t:
-                        t = f
-                    f = bus_free - wl
-                    if f > t:
-                        t = f
-                    if t < cmd_free:
-                        t = cmd_free
-                    cmd_free = t + 1
-                    if log_append is not None:
-                        log_append(CommandRecord(t, Command.WRITE, bank, row))
-                    ds = t + wl
-                    de = ds + burst
-                    last_wr_end = de
-                    f = de + t_wr  # write recovery before precharge
-                    if f > pre_ready[bank]:
-                        pre_ready[bank] = f
-                    n_wr += 1
-
-                bank_accesses[bank] += 1
-
-                # --- interconnect overhead ----------------------------
-                ovh_acc += ovh_per
-                if ovh_acc >= OVERHEAD_SCALE:
-                    de += ovh_acc >> ovh_shift
-                    ovh_acc &= ovh_mask
-
-                bus_free = de
-                ring[ring_i] = ds
-                ring_i += 1
-                if ring_i == qdepth:
-                    ring_i = 0
-
-                # --- closed-page policy: precharge immediately --------
-                if closed_page:
-                    tpre = pre_ready[bank]
-                    if tpre < cmd_free:
-                        tpre = cmd_free
-                    cmd_free = tpre + 1
-                    n_pre += 1
-                    last_pre_any = tpre
-                    if log_append is not None:
-                        log_append(CommandRecord(tpre, Command.PRECHARGE, bank))
-                    open_row[bank] = NO_OPEN_ROW
-                    f = tpre + t_rp
-                    if f > act_ready[bank]:
-                        act_ready[bank] = f
+                        open_row[bank] = NO_OPEN_ROW
+                        f = tpre + t_rp
+                        if f > act_ready[bank]:
+                            act_ready[bank] = f
+                lo = hi
 
         finish = bus_free if bus_free > cmd_free else cmd_free
 

@@ -14,8 +14,8 @@ so consecutive row activations land in different banks and can overlap.
 With **BRC** the bank bits are on top: a sequential stream exhausts an
 entire bank before touching the next, so every row crossing is a
 same-bank precharge+activate that cannot be overlapped.  This module
-reduces both schemes to shift/mask pairs the channel engine applies
-per chunk.
+reduces every scheme to shift/mask pairs the channel engines apply
+once per aligned block of chunks (:attr:`AddressMapping.block_shift`).
 """
 
 from __future__ import annotations
@@ -127,6 +127,17 @@ class AddressMapping:
             xor_shift=xor_shift,
             xor_mask=xor_mask,
         )
+
+    @property
+    def block_shift(self) -> int:
+        """log2 of :attr:`chunks_per_row`: the lowest decode shift.
+
+        Every scheme puts the column-chunk bits lowest, so ``(bank,
+        row)`` is constant over each aligned ``2**block_shift`` block
+        of chunks and can change only at a block boundary.  The
+        engines decode once per block rather than once per burst.
+        """
+        return self.chunks_per_row.bit_length() - 1
 
     # -- decoding ----------------------------------------------------------
 

@@ -76,6 +76,9 @@ class SystemConfig:
             )
         validate_backend_name(self.backend)
         self.device.timing.validate_frequency(self.freq_mhz)
+        # 400 and 400.0 are one clock and must share one point key
+        # (the canonical JSON spells them differently).
+        object.__setattr__(self, "freq_mhz", float(self.freq_mhz))
 
     # -- derived quantities -------------------------------------------------
 

@@ -84,6 +84,8 @@ class ChannelInterleaver:
                 f"invalid chunk span [{first_chunk}, {last_chunk}]"
             )
         m = self.channels
+        if m == 1:
+            return [(0, first_chunk, last_chunk - first_chunk + 1)]
         out: List[Tuple[int, int, int]] = []
         for ch in range(m):
             offset = (ch - first_chunk) % m

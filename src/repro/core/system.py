@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.controller.engine import ChannelResult, ChannelRuns, check_runs
-from repro.controller.request import MasterTransaction
+from repro.controller.request import CHUNK_SHIFT, MasterTransaction
 from repro.core.channel import Channel
 from repro.core.config import SystemConfig
 from repro.core.interleave import ChannelInterleaver
@@ -166,55 +166,63 @@ class MultiChannelMemorySystem:
         to the engines unchecked.
         """
         per_channel: List[list] = [[] for _ in range(self.config.channels)]
+        appends = [channel_runs.append for channel_runs in per_channel]
         capacity = self.config.total_capacity_bytes
-        total_chunks = capacity >> 4
+        total_chunks = capacity >> CHUNK_SHIFT
         tck = self._tck_ns
         split_span = self.interleaver.split_span
         queued_chunks = 0
         n_txns = 0
         for txn in transactions:
             n_txns += 1
-            if txn.end_address > capacity and not wrap_capacity:
+            address = txn.address
+            end = address + txn.size
+            if end > capacity and not wrap_capacity:
                 raise AddressError(
-                    f"transaction [{txn.address:#x}, {txn.end_address:#x}) "
+                    f"transaction [{address:#x}, {end:#x}) "
                     f"exceeds total capacity {capacity:#x}"
                 )
-            # Explicit None test: an arrival of exactly 0.0 ns is a
-            # timestamp, not a missing one (both map to cycle 0, but
-            # truthiness would also swallow a future Optional misuse).
-            # The conversion rounds *up*: an arrival strictly inside
-            # cycle k cannot issue at k -- truncation placed it one
-            # cycle early.  Negative arrivals must be rejected here:
-            # int() truncates toward zero, so a negative value would
-            # round the wrong way and silently land at cycle 0/-1.
-            if txn.arrival_ns is None:
+            # ``None`` and ``0.0`` both mean backlogged: cycle 0, with
+            # no conversion.  Otherwise the conversion rounds *up*: an
+            # arrival strictly inside cycle k cannot issue at k --
+            # truncation placed it one cycle early.  Negative arrivals
+            # must be rejected here: int() truncates toward zero, so a
+            # negative value would round the wrong way and silently
+            # land at cycle 0/-1.
+            arrival_ns = txn.arrival_ns
+            if not arrival_ns:
                 arrival_cycle = 0
             else:
-                if txn.arrival_ns < 0:
+                if arrival_ns < 0:
                     raise ConfigurationError(
                         f"transaction arrival_ns must be >= 0, got "
-                        f"{txn.arrival_ns!r}"
+                        f"{arrival_ns!r}"
                     )
-                arrival_f = txn.arrival_ns / tck
+                arrival_f = arrival_ns / tck
                 arrival_cycle = int(arrival_f)
                 if arrival_f - arrival_cycle > _ARRIVAL_EPSILON_CYCLES:
                     arrival_cycle += 1
-            span = txn.chunk_span()
-            op = int(txn.op)
-            first = span.start % total_chunks
-            remaining = len(span)
-            if remaining > total_chunks:
+            # The span of MasterTransaction.chunk_span: partial head and
+            # tail chunks still cost a full burst.
+            first = address >> CHUNK_SHIFT
+            span = ((end - 1) >> CHUNK_SHIFT) - first + 1
+            if span > total_chunks:
                 raise AddressError(
                     f"transaction of {txn.size} bytes exceeds the whole "
                     f"memory capacity {capacity:#x}"
                 )
-            while remaining > 0:
-                take = min(remaining, total_chunks - first)
-                for ch, start, count in split_span(first, first + take - 1):
-                    per_channel[ch].append((op, start, count, arrival_cycle))
+            queued_chunks += span
+            op = int(txn.op)
+            first %= total_chunks
+            last = first + span - 1
+            if last >= total_chunks:
+                # Wraps at capacity: the head piece, then the rest from 0.
+                for ch, start, count in split_span(first, total_chunks - 1):
+                    appends[ch]((op, start, count, arrival_cycle))
                 first = 0
-                remaining -= take
-            queued_chunks += len(span)
+                last -= total_chunks
+            for ch, start, count in split_span(first, last):
+                appends[ch]((op, start, count, arrival_cycle))
         return _CheckedSplit(
             per_channel, n_txns, queued_chunks, self._max_chunk
         )

@@ -45,7 +45,7 @@ def _seg_size(mapping):
 def _runs_and_mapping(draw):
     """A normalised run list plus the mapping it is decoded under.
 
-    Run lengths reach many 2**seg_shift blocks so segment splitting at
+    Run lengths reach many 2**block_shift blocks so segment splitting at
     block boundaries (row crossings, bank rotations) is exercised, and
     starts are arbitrary so head and tail segments are mostly partial.
     """
@@ -65,7 +65,7 @@ def _runs_and_mapping(draw):
 
 class TestSegmentDecode:
     """The segment table is a lossless run-length view of the per-access
-    decode the reference engine performs burst by burst."""
+    decode (``mapping.decode_chunk`` burst by burst)."""
 
     @hypothesis.settings(max_examples=80, deadline=None)
     @hypothesis.given(case=_runs_and_mapping())
@@ -86,7 +86,7 @@ class TestSegmentDecode:
         ]
         assert expanded == expected
 
-        # One segment per (run, 2**seg_shift block), cut exactly at the
+        # One segment per (run, 2**block_shift block), cut exactly at the
         # block or run end; the arrival sits on the run-head segment only.
         cuts = []
         for _, start, count, arrival in runs:

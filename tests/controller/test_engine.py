@@ -5,6 +5,8 @@ the given clock (see each test's comment), so a regression in any
 constraint shows up as an off-by-N in a specific scenario.
 """
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +16,7 @@ from repro.controller.mapping import AddressMultiplexing
 from repro.controller.pagepolicy import PagePolicy
 from repro.controller.queue import CommandQueueModel
 from repro.controller.request import ChannelRun, Op
+from repro.dram.commands import Command
 from repro.dram.datasheet import NEXT_GEN_MOBILE_DDR
 from repro.dram.powerstate import NoPowerDown
 from repro.errors import AddressError, ConfigurationError
@@ -450,3 +453,66 @@ class TestFourActivateWindow:
         binds and the calibrated results stay put."""
         r = make_engine().run([(0, 0, 1024)])
         assert r.finish_cycle == pytest.approx(2060, abs=30)
+
+
+#: Runs around the 256-chunk decode blocks of the default device: a
+#: mid-block start spanning several blocks, single chunks on either
+#: side of a block edge, a block-aligned run, one ending exactly on an
+#: edge, and one at the top of the capacity; reads and writes mixed.
+_BLOCK_RUNS = [
+    (0, 100, 700),
+    (1, 255, 1),
+    (1, 256, 1),
+    (0, 1024, 256),
+    (1, 2000, 48),
+    (0, 77777, 3),
+    (1, 300037, 600),
+    (0, (NEXT_GEN_MOBILE_DDR.geometry.capacity_bytes >> 4) - 300, 300),
+]
+
+
+class TestBlockDecode:
+    """The engine decodes (bank, row) once per aligned block; every
+    column command must still carry its own chunk's decode."""
+
+    @staticmethod
+    def _check(engine, runs):
+        log = []
+        result = engine.run(runs, command_log=log)
+        mapping = engine.mapping
+        expected = [
+            (op, *mapping.decode_chunk(chunk))
+            for op, start, count in runs
+            for chunk in range(start, start + count)
+        ]
+        issued = [
+            (0 if rec.command is Command.READ else 1, rec.bank, rec.row)
+            for rec in log
+            if rec.command in (Command.READ, Command.WRITE)
+        ]
+        assert issued == expected
+        tally = Counter(bank for _, bank, _ in expected)
+        assert result.bank_accesses == tuple(
+            tally[bank] for bank in range(engine.device.geometry.banks)
+        )
+
+    @pytest.mark.parametrize("page_policy", list(PagePolicy))
+    @pytest.mark.parametrize("scheme", list(AddressMultiplexing))
+    def test_column_commands_carry_their_chunk_decode(self, scheme, page_policy):
+        engine = make_engine(multiplexing=scheme, page_policy=page_policy)
+        self._check(engine, _BLOCK_RUNS)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_random_runs_carry_their_chunk_decode(self, data):
+        max_chunk = NEXT_GEN_MOBILE_DDR.geometry.capacity_bytes >> 4
+        runs = []
+        for _ in range(data.draw(st.integers(1, 5))):
+            count = data.draw(st.integers(1, 1200))
+            start = data.draw(st.integers(0, max_chunk - count))
+            runs.append((data.draw(st.sampled_from((0, 1))), start, count))
+        engine = make_engine(
+            multiplexing=data.draw(st.sampled_from(list(AddressMultiplexing))),
+            page_policy=data.draw(st.sampled_from(list(PagePolicy))),
+        )
+        self._check(engine, runs)

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.controller.mapping import AddressMapping, AddressMultiplexing
 from repro.dram.datasheet import NEXT_GEN_MOBILE_DDR
+from repro.dram.device import BankClusterGeometry
 from repro.errors import AddressError
 
 GEO = NEXT_GEN_MOBILE_DDR.geometry
@@ -163,6 +164,49 @@ class TestRbcXorStructure:
         # consecutive rows' worth of chunks land in distinct banks.
         banks = [XOR.decode_chunk(i * CHUNKS_PER_ROW)[0] for i in range(4)]
         assert len(set(banks)) == 4
+
+
+#: Geometries for the block property: the paper's device, one with
+#: more banks and shorter rows, and one whose row is a single burst
+#: (``block_shift`` 0).
+_BLOCK_GEOMETRIES = [
+    GEO,
+    BankClusterGeometry(capacity_bits=2**28, banks=8, word_bits=32, row_bytes=1024),
+    BankClusterGeometry(capacity_bits=2**20, banks=2, word_bits=32, row_bytes=16),
+]
+
+
+@st.composite
+def _mapping_and_block(draw):
+    mapping = AddressMapping.build(
+        draw(st.sampled_from(_BLOCK_GEOMETRIES)),
+        draw(st.sampled_from(list(AddressMultiplexing))),
+    )
+    blocks = (mapping.geometry.capacity_bytes >> 4) >> mapping.block_shift
+    return mapping, draw(st.integers(0, blocks - 1))
+
+
+class TestBlockShift:
+    """``block_shift`` is the decode block every engine walks by."""
+
+    @pytest.mark.parametrize("scheme", list(AddressMultiplexing))
+    @pytest.mark.parametrize("geometry", _BLOCK_GEOMETRIES)
+    def test_equals_lowest_decode_shift(self, geometry, scheme):
+        mapping = AddressMapping.build(geometry, scheme)
+        shifts = [mapping.bank_shift, mapping.row_shift]
+        if mapping.xor_mask:
+            shifts.append(mapping.xor_shift)
+        assert mapping.block_shift == min(shifts)
+        assert 1 << mapping.block_shift == mapping.chunks_per_row
+
+    @given(case=_mapping_and_block(), data=st.data())
+    def test_decode_constant_on_aligned_block(self, case, data):
+        mapping, block = case
+        size = 1 << mapping.block_shift
+        head = mapping.decode_chunk(block * size)
+        offset = data.draw(st.integers(0, size - 1))
+        assert mapping.decode_chunk(block * size + offset) == head
+        assert mapping.decode_chunk(block * size + size - 1) == head
 
 
 class TestXorEnginePerformance:

@@ -1,14 +1,17 @@
 """Tests for the multi-channel memory system."""
 
+import random
+
 import pytest
 
 from repro.controller.request import MasterTransaction, Op
 from repro.core.config import SystemConfig
-from repro.core.system import MultiChannelMemorySystem
+from repro.core.system import _ARRIVAL_EPSILON_CYCLES, MultiChannelMemorySystem
 from repro.errors import AddressError, ConfigurationError
 from repro.load.generators import sequential_stream
 from repro.load.pacing import pace_transactions
 from repro.telemetry import Telemetry
+from repro.units import clock_period_ns
 
 
 def make_system(channels=2, freq=400.0):
@@ -217,6 +220,117 @@ class TestSplit:
         assert counters["system.runs"] == 2
         assert counters["system.transactions"] == 2 * split.transactions
         assert counters["system.chunks_queued"] == 2 * split.chunks
+
+
+def _plain_split(system, transactions):
+    """The Table II split spelled out: each transaction's
+    ``chunk_span`` wrapped at capacity and cut by ``split_span``."""
+    capacity_chunks = system.config.total_capacity_bytes >> 4
+    tck = clock_period_ns(system.config.freq_mhz)
+    per_channel = [[] for _ in range(system.config.channels)]
+    chunks = 0
+    for txn in transactions:
+        arrival = 0
+        if txn.arrival_ns is not None:
+            cycles = txn.arrival_ns / tck
+            arrival = int(cycles)
+            if cycles - arrival > _ARRIVAL_EPSILON_CYCLES:
+                arrival += 1
+        span = txn.chunk_span()
+        chunks += len(span)
+        first = span.start % capacity_chunks
+        remaining = len(span)
+        while remaining:
+            take = min(remaining, capacity_chunks - first)
+            for ch, start, count in system.interleaver.split_span(
+                first, first + take - 1
+            ):
+                per_channel[ch].append((int(txn.op), start, count, arrival))
+            first = 0
+            remaining -= take
+    return tuple(map(tuple, per_channel)), len(transactions), chunks
+
+
+def _random_stream(rng, capacity, tck):
+    """Unaligned reads and writes, some ending just short of the
+    capacity, some wrapping at it or lying beyond it, with missing, zero, on-edge, near-edge and arbitrary
+    arrival times."""
+    txns = []
+    for _ in range(300):
+        size = rng.randint(1, 20000)
+        address = rng.choice(
+            [
+                rng.randrange(0, capacity - size),
+                capacity - size - rng.randrange(0, 4096),
+                rng.randrange(capacity - size, capacity),
+                rng.randrange(capacity, 3 * capacity),
+            ]
+        )
+        edge = rng.randrange(1, 10**6) * tck
+        nudge = rng.uniform(-0.5, 0.5) * _ARRIVAL_EPSILON_CYCLES * tck
+        arrival = rng.choice(
+            [None, 0.0, edge, edge + nudge, rng.uniform(0, 10**6)]
+        )
+        op = rng.choice((Op.READ, Op.WRITE))
+        txns.append(MasterTransaction(op, address, size, arrival_ns=arrival))
+    return txns
+
+
+class TestSplitAgainstPlainSplit:
+    """The split loop computes each span from ``address``/``size`` and
+    skips the conversion of backlogged arrivals; it must still equal
+    the plain per-transaction split, and fail in the same way."""
+
+    @pytest.mark.parametrize("freq", [333.0, 400.0])
+    @pytest.mark.parametrize("channels", [1, 2, 4, 8])
+    def test_matches_plain_split(self, channels, freq):
+        system = make_system(channels=channels, freq=freq)
+        rng = random.Random(channels * 1000 + int(freq))
+        txns = _random_stream(
+            rng, system.config.total_capacity_bytes, clock_period_ns(freq)
+        )
+        split = system.split(txns)
+        assert (split.runs, split.transactions, split.chunks) == _plain_split(
+            system, txns
+        )
+
+    def test_errors_unchanged(self):
+        system = make_system(channels=2)
+        capacity = system.config.total_capacity_bytes
+        negative = MasterTransaction(Op.READ, 0, 16, arrival_ns=1.0)
+        object.__setattr__(negative, "arrival_ns", -0.5)
+        cases = [
+            (
+                [MasterTransaction(Op.READ, capacity - 16, 64)],
+                False,
+                AddressError,
+                f"transaction [{capacity - 16:#x}, {capacity + 48:#x}) "
+                f"exceeds total capacity {capacity:#x}",
+            ),
+            (
+                [MasterTransaction(Op.READ, 0, capacity + 16)],
+                True,
+                AddressError,
+                f"transaction of {capacity + 16} bytes exceeds the whole "
+                f"memory capacity {capacity:#x}",
+            ),
+            (
+                [negative],
+                True,
+                ConfigurationError,
+                "transaction arrival_ns must be >= 0, got -0.5",
+            ),
+            (
+                [MasterTransaction(5, 0, 64)],
+                True,
+                ConfigurationError,
+                "run op must be 0 or 1, got 5",
+            ),
+        ]
+        for txns, wrap, error, message in cases:
+            with pytest.raises(error) as caught:
+                system.split(txns, wrap_capacity=wrap)
+            assert str(caught.value) == message
 
 
 class TestDescribe:

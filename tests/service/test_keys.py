@@ -312,3 +312,19 @@ class TestSystemConfigKeyContract:
         assert point_key(_WITNESS_LEVEL, changed) != point_key(
             _WITNESS_LEVEL, base
         )
+
+    def test_integer_clock_shares_the_float_key(self):
+        as_int = SystemConfig(freq_mhz=400, backend="reference")
+        as_float = SystemConfig(freq_mhz=400.0, backend="reference")
+        assert type(as_int.freq_mhz) is float
+        assert point_key(_WITNESS_LEVEL, as_int) == point_key(
+            _WITNESS_LEVEL, as_float
+        )
+
+    def test_float_clock_key_is_unchanged(self):
+        # Normalising the clock to float must not move the keys a
+        # store filled by the paper grid's float clocks holds.
+        config = SystemConfig(freq_mhz=400.0, backend="reference")
+        assert point_key(_WITNESS_LEVEL, config) == (
+            "d0cd5e05cac2fa4343b2ca0907ecb443b6cafce634c97c85a647ab06372542ad"
+        )
