@@ -77,7 +77,6 @@ from repro.power import (
 from repro.resilience import (
     JobFailure,
     RetryPolicy,
-    SweepCheckpoint,
     SweepReport,
 )
 from repro.usecase import (
@@ -218,7 +217,6 @@ __all__ = [
     # resilience
     "JobFailure",
     "RetryPolicy",
-    "SweepCheckpoint",
     "SweepReport",
     # telemetry (lazy)
     "CallbackProgressSink",

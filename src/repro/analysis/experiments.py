@@ -179,16 +179,14 @@ def run_fig3(
     scale: Optional[float] = None,
     chunk_budget: Optional[int] = None,
     workers: Optional[int] = None,
-    checkpoint: Optional[Union[str, Path]] = None,
     strict: bool = True,
     telemetry: Optional[Telemetry] = None,
     progress: Optional[ProgressSink] = None,
     backend: Optional[str] = None,
-    checkpoint_force: bool = False,
     point_timeout: Optional[float] = None,
-    durable_checkpoint: bool = False,
     cache: Optional[Union[str, Path]] = None,
     workload: WorkloadLike = None,
+    resume: bool = False,
 ) -> Fig3Result:
     """Regenerate Fig. 3: sweep the interface clock for the least
     demanding HD level (3.1: 720p at 30 fps) over 1-8 channels.
@@ -196,16 +194,15 @@ def run_fig3(
     ``workers`` distributes the (frequency, channel-count) points over
     worker processes (0 = one per CPU); results are identical.
     ``backend`` selects the simulation backend for every point (see
-    :mod:`repro.backends`).  ``checkpoint`` resumes an interrupted
-    sweep from a JSON-lines file (``checkpoint_force`` permits mixing
-    backends in one file, ``durable_checkpoint`` fsyncs every append);
-    ``strict=False`` renders failed points as ERR cells instead of
-    raising; ``point_timeout`` puts every point under watchdog
-    supervision (hung points are killed, requeued and eventually
-    quarantined as ERR cells -- see
+    :mod:`repro.backends`).  ``strict=False`` renders failed points as
+    ERR cells instead of raising; ``point_timeout`` puts every point
+    under watchdog supervision (hung points are killed, requeued and
+    eventually quarantined as ERR cells -- see
     :func:`repro.analysis.sweep.sweep_use_case`); ``cache`` names a
     persistent content-addressed result store directory, so a warm
-    cache regenerates the figure without simulating anything."""
+    cache regenerates the figure without simulating anything and an
+    interrupted run recomputes only the missing points; ``resume``
+    also serves the points an earlier run quarantined as ERR cells."""
     level = level_by_name("3.1")
     base = base_config if base_config is not None else SystemConfig()
     kwargs = {} if chunk_budget is None else {"chunk_budget": chunk_budget}
@@ -219,16 +216,14 @@ def run_fig3(
         configs,
         scale=scale,
         workers=workers,
-        checkpoint=checkpoint,
         strict=strict,
         telemetry=telemetry,
         progress=progress,
         backend=backend,
-        checkpoint_force=checkpoint_force,
         point_timeout=point_timeout,
-        durable_checkpoint=durable_checkpoint,
         cache=cache,
         workload=workload,
+        resume=resume,
         **kwargs,
     )
     access: Dict[float, Dict[int, float]] = {}
@@ -331,30 +326,26 @@ def run_fig4(
     scale: Optional[float] = None,
     chunk_budget: Optional[int] = None,
     workers: Optional[int] = None,
-    checkpoint: Optional[Union[str, Path]] = None,
     strict: bool = True,
     telemetry: Optional[Telemetry] = None,
     progress: Optional[ProgressSink] = None,
     backend: Optional[str] = None,
-    checkpoint_force: bool = False,
     point_timeout: Optional[float] = None,
-    durable_checkpoint: bool = False,
     cache: Optional[Union[str, Path]] = None,
     workload: WorkloadLike = None,
+    resume: bool = False,
 ) -> Fig4Result:
     """Regenerate Fig. 4: frame-format sweep at a 400 MHz clock.
 
     ``workers`` distributes the (level, channel-count) points over
     worker processes (0 = one per CPU); results are identical.
     ``backend`` selects the simulation backend for every point.
-    ``checkpoint`` resumes an interrupted sweep from a JSON-lines
-    file (``checkpoint_force`` permits mixing backends in one file,
-    ``durable_checkpoint`` fsyncs every append); ``strict=False``
-    renders failed points as ERR cells instead of raising;
-    ``point_timeout`` puts every point under watchdog supervision;
-    ``cache`` names a persistent content-addressed result store
-    directory shared across figures (Fig. 4 and Fig. 5 sweep identical
-    points, so either warms the cache for both)."""
+    ``strict=False`` renders failed points as ERR cells instead of
+    raising; ``point_timeout`` puts every point under watchdog
+    supervision; ``cache`` names a persistent content-addressed result
+    store directory shared across figures (Fig. 4 and Fig. 5 sweep
+    identical points, so either warms the cache for both); ``resume``
+    also serves the points an earlier run quarantined as ERR cells."""
     base = (base_config if base_config is not None else SystemConfig()).with_frequency(
         freq_mhz
     )
@@ -364,16 +355,14 @@ def run_fig4(
         channel_sweep_configs(base, channel_counts),
         scale=scale,
         workers=workers,
-        checkpoint=checkpoint,
         strict=strict,
         telemetry=telemetry,
         progress=progress,
         backend=backend,
-        checkpoint_force=checkpoint_force,
         point_timeout=point_timeout,
-        durable_checkpoint=durable_checkpoint,
         cache=cache,
         workload=workload,
+        resume=resume,
         **kwargs,
     )
     points: Dict[str, Dict[int, SweepPoint]] = {}
@@ -489,20 +478,18 @@ def run_fig5(
     scale: Optional[float] = None,
     chunk_budget: Optional[int] = None,
     workers: Optional[int] = None,
-    checkpoint: Optional[Union[str, Path]] = None,
     strict: bool = True,
     telemetry: Optional[Telemetry] = None,
     progress: Optional[ProgressSink] = None,
     backend: Optional[str] = None,
-    checkpoint_force: bool = False,
     point_timeout: Optional[float] = None,
-    durable_checkpoint: bool = False,
     cache: Optional[Union[str, Path]] = None,
     workload: WorkloadLike = None,
+    resume: bool = False,
 ) -> Fig5Result:
     """Regenerate Fig. 5.  Shares Fig. 4's sweep (the paper derives
-    both from the same simulations) -- including its checkpoint file,
-    so a resumed Fig. 5 reuses a Fig. 4 run's completed points."""
+    both from the same simulations) -- including its result cache, so
+    a Fig. 5 run reuses a Fig. 4 run's completed points."""
     return Fig5Result(
         fig4=run_fig4(
             levels=levels,
@@ -512,16 +499,14 @@ def run_fig5(
             scale=scale,
             chunk_budget=chunk_budget,
             workers=workers,
-            checkpoint=checkpoint,
             strict=strict,
             telemetry=telemetry,
             progress=progress,
             backend=backend,
-            checkpoint_force=checkpoint_force,
             point_timeout=point_timeout,
-            durable_checkpoint=durable_checkpoint,
             cache=cache,
             workload=workload,
+            resume=resume,
         )
     )
 
@@ -576,16 +561,14 @@ def run_xdr_comparison(
     scale: Optional[float] = None,
     chunk_budget: Optional[int] = None,
     workers: Optional[int] = None,
-    checkpoint: Optional[Union[str, Path]] = None,
     strict: bool = True,
     telemetry: Optional[Telemetry] = None,
     progress: Optional[ProgressSink] = None,
     backend: Optional[str] = None,
-    checkpoint_force: bool = False,
     point_timeout: Optional[float] = None,
-    durable_checkpoint: bool = False,
     cache: Optional[Union[str, Path]] = None,
     workload: WorkloadLike = None,
+    resume: bool = False,
 ) -> XdrComparisonResult:
     """Compare the 8-channel configuration's power against the XDR
     reference across the encoding formats (Section IV).
@@ -600,16 +583,14 @@ def run_xdr_comparison(
             scale=scale,
             chunk_budget=chunk_budget,
             workers=workers,
-            checkpoint=checkpoint,
             strict=strict,
             telemetry=telemetry,
             progress=progress,
             backend=backend,
-            checkpoint_force=checkpoint_force,
             point_timeout=point_timeout,
-            durable_checkpoint=durable_checkpoint,
             cache=cache,
             workload=workload,
+            resume=resume,
         )
     config = SystemConfig(channels=channels, freq_mhz=freq_mhz)
     per_level: Dict[str, Tuple[float, float]] = {}

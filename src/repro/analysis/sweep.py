@@ -13,10 +13,11 @@ order and with the same bit-identical values as a sequential sweep.
 
 Fault tolerance (see :mod:`repro.resilience`):
 
-- ``checkpoint=`` names a JSON-lines file; completed points are
-  appended as they finish and skipped on re-run, so an interrupted
-  sweep resumes with only the missing work -- bit-identically, because
-  the checkpoint stores the full pickled points.
+- ``cache=`` names the persistent result store; completed points are
+  written as they finish and served on re-run, so an interrupted sweep
+  resumes with only the missing work -- bit-identically, because the
+  store holds the full pickled points.  ``resume=True`` also serves the
+  points quarantined by an earlier run as their recorded failures.
 - ``strict=True`` (the default) keeps fail-fast semantics, but wraps
   worker exceptions in :class:`~repro.errors.WorkerError` carrying the
   sweep coordinates and worker-side traceback.  ``strict=False``
@@ -39,12 +40,12 @@ from repro.controller.request import MasterTransaction
 from repro.core.config import SystemConfig
 from repro.core.results import SimulationResult
 from repro.core.system import ChannelSplit, MultiChannelMemorySystem
-from repro.errors import CheckpointError, ConfigurationError, WorkerError
+from repro.errors import ConfigurationError, WorkerError
+from repro.keys import canonical_key
 from repro.load.model import DEFAULT_BLOCK_BYTES, VideoRecordingLoadModel
 from repro.load.scaling import DEFAULT_CHUNK_BUDGET, choose_scale
 from repro.parallel import parallel_map, resolve_workers
 from repro.power.report import FramePowerReport, compute_frame_power
-from repro.resilience.checkpoint import SweepCheckpoint
 from repro.resilience.faults import maybe_inject
 from repro.resilience.report import JobFailure, SweepReport
 from repro.resilience.retry import RetryPolicy
@@ -228,8 +229,8 @@ def _sweep_point_job(
     Module-level so it pickles by reference; every argument and the
     returned :class:`SweepPoint` are plain dataclasses/enums, so the
     round trip through the pool is lossless.  The leading index exists
-    for checkpoint bookkeeping and as the fault-injection hook the
-    resilience tests target.
+    for failure records and as the fault-injection hook the resilience
+    tests target.
 
     ``telemetry`` and ``traffic`` are only threaded in for in-process
     sweeps: a pool worker's registry/profiler mutations would die with
@@ -253,7 +254,7 @@ def _sweep_point_job(
 
 def _job_coords(job: SweepJob) -> Dict[str, object]:
     """Human-readable sweep coordinates of one job (for failure
-    records and checkpoint lines)."""
+    records and cache entry headers)."""
     index, level, config, scale, chunk_budget, block_bytes, workload = job
     return {
         "index": index,
@@ -282,9 +283,9 @@ def _job_description(job: SweepJob) -> Dict[str, object]:
     The ``workload`` identity -- registry name, fully resolved
     parameters and a digest of the spec's semantic structure
     (:meth:`~repro.workloads.spec.BoundWorkload.identity`) -- is part
-    of the key, so the result cache and checkpoints can never alias
-    points generated by different workloads (or by two registrations
-    of the same name with different structure).
+    of the key, so the result cache can never alias points generated
+    by different workloads (or by two registrations of the same name
+    with different structure).
     """
     index, level, config, scale, chunk_budget, block_bytes, workload = job
     return point_description(
@@ -338,9 +339,8 @@ def point_key(
     workload: WorkloadLike = None,
 ) -> str:
     """Canonical content key of one sweep point -- exactly the key
-    :func:`sweep_use_case` files the point under in the result cache
-    and checkpoint stores."""
-    return SweepCheckpoint.key_for(
+    :func:`sweep_use_case` files the point under in the result cache."""
+    return canonical_key(
         point_description(
             level,
             config,
@@ -353,100 +353,51 @@ def point_key(
 
 
 def job_keys(jobs: Sequence[SweepJob]) -> List[str]:
-    """Canonical content keys of ``jobs``, shared by the checkpoint
-    store and the result cache (see :mod:`repro.keys`)."""
-    return [SweepCheckpoint.key_for(_job_description(job)) for job in jobs]
+    """Canonical content keys of ``jobs``: the names they are filed
+    under in the result cache (see :mod:`repro.keys`)."""
+    return [canonical_key(_job_description(job)) for job in jobs]
 
 
-def _refuse_backend_mixing(
-    store: SweepCheckpoint,
-    configs: Sequence[SystemConfig],
-    checkpoint_force: bool,
-) -> None:
-    """Refuse resuming a checkpoint recorded under foreign backends."""
-    sweep_backends = {config.backend for config in configs}
-    foreign = store.recorded_backends() - sweep_backends
-    if foreign and not checkpoint_force:
-        raise CheckpointError(
-            f"checkpoint {store.path} holds points recorded under "
-            f"backend(s) {', '.join(sorted(foreign))}, but this sweep "
-            f"uses {', '.join(sorted(sweep_backends))}; mixing backends "
-            "in one checkpoint blends fidelities -- use a separate "
-            "checkpoint file, or pass --force / checkpoint_force=True "
-            "to proceed"
-        )
-
-
-def _fold_reuse(
+def _serve_stored(
     jobs: Sequence[SweepJob],
     keys: Sequence[str],
-    store: Optional[SweepCheckpoint],
-    cache: Optional["ResultCache"],
-) -> Tuple[List[Optional[SweepPoint]], int, int, List[JobFailure], List[int]]:
-    """Resolve every form of stored work before dispatching anything.
+    cache: Optional[ResultCache],
+    resume: bool,
+) -> Tuple[List[Optional[SweepPoint]], int, List[JobFailure], List[int]]:
+    """Serve what the store holds before dispatching anything.
 
-    Returns ``(results, resumed, cached, resumed_failures,
-    pending_positions)``: checkpointed points and quarantined failures
-    are restored first (and successes copied into the cache when one
-    is attached, so a campaign checkpoint enriches the global store),
-    then the cache is consulted for the remainder.  Cache hits are
-    folded back into the checkpoint, keeping it a complete record of
-    the campaign.  Only positions neither store could serve are left
-    pending.
+    Returns ``(results, cached, restored, pending_positions)``.  A
+    stored point is always served.  A negative entry (a point an
+    earlier run quarantined) is served as its recorded failure only
+    under ``resume``; otherwise it is a silent miss, so the point is
+    retried and its new outcome overwrites the entry.
     """
     results: List[Optional[SweepPoint]] = [None] * len(jobs)
-    resumed = 0
+    if cache is None:
+        return results, 0, [], list(range(len(jobs)))
     cached = 0
-    resumed_failures: List[JobFailure] = []
-    covered = set()
-    if store is not None:
-        done = store.load()
-        for position, key in enumerate(keys):
-            if key not in done:
-                continue
-            covered.add(position)
-            resumed += 1
-            payload = done[key]
-            if isinstance(payload, JobFailure):
-                # A quarantined point from the previous run: yield the
-                # recorded failure instead of re-hanging on it.
-                resumed_failures.append(
-                    replace(
-                        payload,
-                        index=position,
-                        coords=_job_coords(jobs[position]),
-                    )
-                )
-            else:
-                results[position] = payload
-                if cache is not None and not cache.contains(key):
-                    cache.put(key, payload, _job_coords(jobs[position]))
-    if cache is not None:
-        for position, key in enumerate(keys):
-            if position in covered:
-                continue
-            hit = cache.get(key)
-            if hit is None:
-                continue
-            if not isinstance(hit, SweepPoint):
+    restored: List[JobFailure] = []
+    pending_positions: List[int] = []
+    for position, key in enumerate(keys):
+        hit = cache.get(key)
+        if isinstance(hit, SweepPoint):
+            results[position] = hit
+            cached += 1
+        elif isinstance(hit, JobFailure) and resume:
+            restored.append(
+                replace(hit, index=position, coords=_job_coords(jobs[position]))
+            )
+        else:
+            if hit is not None and not isinstance(hit, JobFailure):
                 warnings.warn(
                     CacheWarning(
                         f"cache entry {key[:12]}... holds a "
-                        f"{type(hit).__name__}, not a sweep point; "
-                        "recomputing"
+                        f"{type(hit).__name__}, not a sweep point; recomputing"
                     ),
                     stacklevel=3,
                 )
-                continue
-            covered.add(position)
-            cached += 1
-            results[position] = hit
-            if store is not None:
-                store.record(key, _job_coords(jobs[position]), hit)
-    pending_positions = [
-        position for position in range(len(jobs)) if position not in covered
-    ]
-    return results, resumed, cached, resumed_failures, pending_positions
+            pending_positions.append(position)
+    return results, cached, restored, pending_positions
 
 
 def sweep_use_case(
@@ -456,25 +407,23 @@ def sweep_use_case(
     chunk_budget: int = DEFAULT_CHUNK_BUDGET,
     block_bytes: int = DEFAULT_BLOCK_BYTES,
     workers: Optional[int] = None,
-    checkpoint: Optional[Union[str, Path, SweepCheckpoint]] = None,
     strict: bool = True,
     retry: Optional[RetryPolicy] = None,
     telemetry: Optional[Telemetry] = None,
     progress: Optional[ProgressSink] = None,
     backend: Optional[str] = None,
-    checkpoint_force: bool = False,
     point_timeout: Optional[float] = None,
-    durable_checkpoint: bool = False,
     cache: Optional[Union[str, Path, ResultCache]] = None,
     workload: WorkloadLike = None,
+    resume: bool = False,
 ) -> SweepReport:
     """Cartesian sweep of levels x configurations.
 
     ``workload`` selects the declarative traffic model every point
     simulates (registered name, spec or bound workload; ``None`` = the
     default ``h264_camcorder``).  The workload identity is part of
-    every point's canonical key, so checkpoints and the result cache
-    never mix points across workloads.
+    every point's canonical key, so the result cache never mixes points
+    across workloads.
 
     ``workers`` fans the (level, config) points out across worker
     processes (``None``/1 = in-process, 0 = one per CPU); the returned
@@ -485,18 +434,6 @@ def sweep_use_case(
     travels inside the (picklable) configs, so pool workers honour it
     without extra plumbing.
 
-    ``checkpoint`` names a JSON-lines file (or passes a prepared
-    :class:`~repro.resilience.checkpoint.SweepCheckpoint`): completed
-    points are recorded as they finish, and points already present are
-    skipped -- an interrupted sweep re-run with the same arguments
-    recomputes only the missing work.  Points are keyed by the full
-    job description *including the backend*, and a checkpoint holding
-    points recorded under a different backend is refused with
-    :class:`~repro.errors.CheckpointError` -- silently blending e.g.
-    analytic estimates into a reference sweep would corrupt the
-    figures; pass ``checkpoint_force=True`` (CLI ``--force``) to mix
-    deliberately.  ``durable_checkpoint=True`` fsyncs every checkpoint
-    append (machine-crash durability; CLI ``--durable-checkpoint``).
     ``strict=False`` captures per-point failures in the report instead
     of raising; ``retry`` overrides the backoff schedule for transient
     pool failures.
@@ -507,10 +444,10 @@ def sweep_use_case(
     point that hangs (or takes its worker down) on every permitted
     attempt is quarantined -- an ERR cell in the figures under
     ``strict=False``, a :class:`~repro.errors.WorkerError` naming the
-    point under ``strict=True``.  Quarantined failures are recorded
-    into the checkpoint, so a ``--resume`` yields the failure
-    immediately instead of re-hanging on the same point.  Supervision
-    counters (``sweep.timeouts``, ``sweep.watchdog_kills``,
+    point under ``strict=True``.  Quarantined failures are written to
+    the ``cache`` as negative entries, so a resumed sweep yields the
+    failure immediately instead of re-hanging on the same point.
+    Supervision counters (``sweep.timeouts``, ``sweep.watchdog_kills``,
     ``sweep.quarantined``) land in ``telemetry`` when given.
 
     ``cache`` names a persistent content-addressed result store
@@ -518,16 +455,24 @@ def sweep_use_case(
     :class:`~repro.service.cache.ResultCache`; CLI ``--cache-dir``):
     before anything is dispatched, every point's canonical key --
     :func:`repro.keys.canonical_key` over the full job description
-    including the backend and engine version, the same key the
-    checkpoint uses -- is looked up there, and hits are served without
-    simulating.  Computed points are written back atomically, so a
-    warm cache replays a whole grid as pure lookups; failed or
-    quarantined points are never cached.  Corrupt or torn entries
-    degrade to a recompute with a
+    including the backend and engine version -- is looked up there,
+    and hits are served without simulating.  Computed points are
+    written back atomically as they finish, so a warm cache replays a
+    whole grid as pure lookups and an interrupted sweep re-run with
+    the same arguments recomputes only the missing work.  Corrupt or
+    torn entries degrade to a recompute with a
     :class:`~repro.service.cache.CacheWarning` -- a damaged cache can
     cost time, never correctness.  ``cache.hits`` / ``cache.misses`` /
     ``cache.corrupt`` / ``cache.evictions`` counters land in
-    ``telemetry`` when given.
+    ``telemetry`` when given (``cache.hits`` counts negative entries
+    read, served or not).
+
+    ``resume=True`` (CLI ``--resume``; needs ``cache``) also serves
+    each negative entry as its recorded failure, so a resumed sweep
+    never hangs on the same point again.  Without it a negative entry
+    is a miss: the point is retried and its new outcome overwrites the
+    entry.  Deterministic errors are never stored, so they are always
+    recomputed.
 
     ``progress`` receives a heartbeat per completed point (and a final
     summary) as :class:`~repro.telemetry.ProgressEvent`\\ s with
@@ -544,6 +489,8 @@ def sweep_use_case(
     """
     if not levels or not configs:
         raise ConfigurationError("sweep needs at least one level and one config")
+    if resume and cache is None:
+        raise ConfigurationError("resume=True needs a cache to resume from")
     if backend is not None:
         configs = [config.with_backend(backend) for config in configs]
     bound = resolve_workload(workload)
@@ -554,24 +501,11 @@ def sweep_use_case(
         )
     ]
 
-    if isinstance(checkpoint, SweepCheckpoint):
-        store: Optional[SweepCheckpoint] = checkpoint
-        if durable_checkpoint:
-            store.fsync = True
-    elif checkpoint is not None:
-        store = SweepCheckpoint(checkpoint, fsync=durable_checkpoint)
-    else:
-        store = None
     cache_store = resolve_cache(cache)
-    if store is not None:
-        _refuse_backend_mixing(store, configs, checkpoint_force)
-    if store is not None or cache_store is not None:
-        keys = job_keys(jobs)
-    else:
-        keys = []
+    keys = job_keys(jobs) if cache_store is not None else []
     cache_before = cache_store.stats() if cache_store is not None else {}
-    results, resumed, cache_hits, resumed_failures, pending_positions = (
-        _fold_reuse(jobs, keys, store, cache_store)
+    results, cache_hits, restored, pending_positions = _serve_stored(
+        jobs, keys, cache_store, resume
     )
     pending_jobs = [jobs[position] for position in pending_positions]
 
@@ -580,9 +514,9 @@ def sweep_use_case(
         registry.counter("sweep.points_total").add(len(jobs))
         for name in sorted({config.backend for config in configs}):
             registry.counter(f"sweep.backend.{name}").add(1)
-        registry.counter("sweep.points_resumed").add(resumed)
-        # Pre-register at zero so a fully resumed sweep still exports
-        # the counter (a resumed campaign computed nothing, visibly).
+        registry.counter("sweep.points_resumed").add(len(restored))
+        # Pre-register at zero so a fully stored sweep still exports
+        # the counter (a warm campaign computed nothing, visibly).
         registry.counter("sweep.points_completed").add(0)
         if cache_store is not None:
             registry.counter("sweep.points_cached").add(cache_hits)
@@ -594,18 +528,15 @@ def sweep_use_case(
             ):
                 registry.counter(name).add(0)
     tracker = (
-        SweepProgress(progress, total=len(jobs), resumed=resumed)
+        SweepProgress(
+            progress, total=len(jobs), stored=cache_hits + len(restored)
+        )
         if progress is not None
         else None
     )
 
     on_result = None
-    if (
-        store is not None
-        or cache_store is not None
-        or tracker is not None
-        or telemetry is not None
-    ):
+    if cache_store is not None or tracker is not None or telemetry is not None:
         point_timer = time.monotonic
         # Placeholder: re-stamped at dispatch so the first interval
         # sample measures point throughput, not setup done between
@@ -614,8 +545,6 @@ def sweep_use_case(
 
         def on_result(local_index: int, point: SweepPoint) -> None:
             position = pending_positions[local_index]
-            if store is not None:
-                store.record(keys[position], _job_coords(jobs[position]), point)
             if cache_store is not None:
                 cache_store.put(
                     keys[position], point, _job_coords(jobs[position])
@@ -634,23 +563,20 @@ def sweep_use_case(
                 tracker.point_done(_job_coords(jobs[position]))
 
     on_failure = None
-    if store is not None:
+    if cache_store is not None:
 
         def on_failure(local_index: int, failure: JobFailure) -> None:
             if not failure.quarantined:
-                # Deterministic errors are recomputed on resume (the
-                # bug might be fixed by then); only quarantines -- the
-                # points that would re-hang -- are persisted.
+                # Deterministic errors are recomputed by the next run
+                # (the bug might be fixed by then); only quarantines --
+                # the points that would re-hang -- are stored.
                 return
             position = pending_positions[local_index]
-            store.record(
+            coords = _job_coords(jobs[position])
+            cache_store.put(
                 keys[position],
-                _job_coords(jobs[position]),
-                replace(
-                    failure,
-                    index=position,
-                    coords=_job_coords(jobs[position]),
-                ),
+                replace(failure, index=position, coords=coords),
+                coords,
             )
 
     watchdog = Watchdog(point_timeout) if point_timeout is not None else None
@@ -680,7 +606,7 @@ def sweep_use_case(
     if on_result is not None:
         # Baseline for the first ``sweep.point_interval_seconds``
         # sample is dispatch start: stamping any earlier bills the
-        # checkpoint resume scan and other setup to the first point.
+        # store lookups and other setup to the first point.
         last_done[0] = point_timer()
     outcomes = parallel_map(
         point_fn,
@@ -707,7 +633,7 @@ def sweep_use_case(
                 cache_after[name] - cache_before.get(name, 0)
             )
 
-    failures: List[JobFailure] = list(resumed_failures)
+    failures: List[JobFailure] = list(restored)
     for local_index, outcome in enumerate(outcomes):
         position = pending_positions[local_index]
         if isinstance(outcome, JobFailure):
@@ -725,7 +651,7 @@ def sweep_use_case(
     if telemetry is not None:
         telemetry.registry.counter("sweep.points_failed").add(len(failures))
     if tracker is not None:
-        tracker.finish(failed=len(failures))
+        tracker.finish(failed=len(failures) - len(restored))
 
     if strict and failures:
         first = failures[0]
@@ -739,7 +665,7 @@ def sweep_use_case(
         points=[point for point in results if point is not None],
         failures=failures,
         total=len(jobs),
-        resumed=resumed,
+        resumed=len(restored),
         cached=cache_hits,
     )
 

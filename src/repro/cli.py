@@ -47,32 +47,31 @@ paper artifacts and always use the camcorder.
 
 Fault tolerance (see :mod:`repro.resilience`):
 
-- ``--checkpoint FILE`` records every completed sweep point to FILE as
-  it finishes; add ``--resume`` to skip the points already recorded
-  there, so an interrupted run recomputes only the missing work.
-  Without ``--resume`` an existing checkpoint is truncated first.
-  ``--durable-checkpoint`` additionally fsyncs every append (machine-
-  crash durability, at a per-point latency cost).
+- ``--cache-dir DIR`` attaches the persistent content-addressed result
+  cache (see :mod:`repro.service.cache`): every completed sweep point
+  is stored under its canonical job key (configuration, backend,
+  engine version) as it finishes and served from disk on any later
+  run -- across subcommands and processes, so warming the cache once
+  replays fig3/fig4/fig5/verify-paper in seconds, and an interrupted
+  run re-run against the same DIR recomputes only the missing work.
+  Corrupt entries degrade to a recompute with a warning; under strict
+  mode (the default) the run then exits non-zero to flag the damaged
+  store, under ``--no-strict`` it is tolerated silently.
 - ``--point-timeout SECONDS`` puts every sweep point under watchdog
   supervision: a point still running after the deadline has its worker
   killed and is requeued; a point that hangs on every permitted
   attempt is quarantined -- an ERR cell under ``--no-strict``, an
-  error naming the point otherwise -- and recorded in the checkpoint
-  so ``--resume`` does not re-hang.
+  error naming the point otherwise -- and stored in ``--cache-dir`` as
+  a negative entry.
+- ``--resume`` (requires ``--cache-dir``) reruns against that store
+  and also serves its negative entries as their recorded failures, so
+  a resumed run never hangs on the same point again.  Without it a
+  quarantined point is retried.
 - ``--no-strict`` degrades gracefully: failed sweep points render as
   ERR cells instead of aborting the artifact.
-- ``--cache-dir DIR`` attaches the persistent content-addressed result
-  cache (see :mod:`repro.service.cache`): every completed sweep point
-  is stored under its canonical job key (configuration, backend,
-  engine version) and served from disk on any later run -- across
-  subcommands and processes, so warming the cache once replays
-  fig3/fig4/fig5/verify-paper in seconds.  Corrupt entries degrade to
-  a recompute with a warning; under strict mode (the default) the run
-  then exits non-zero to flag the damaged store, under ``--no-strict``
-  it is tolerated silently.
 - ``sweep`` runs an ad-hoc (levels x channels x frequencies) grid
   through :func:`~repro.analysis.sweep.sweep_use_case`, the same
-  engine as every figure: the same checkpoint/cache stores, the same
+  engine as every figure: the same result cache, the same
   ``--workers``/``--point-timeout`` supervision and the same
   ``--metrics-out`` telemetry.
 - ``--check-invariants`` audits every simulated command stream against
@@ -88,14 +87,12 @@ Feasibility oracle (see :mod:`repro.oracle`):
   (``--channels``, ``--freq``) sustain ``--level`` in real time, at
   what power -- and answers from the cheapest adequate tier:
   surrogate interpolation over the exact points already in
-  ``--cache-dir`` / ``--checkpoint`` (microseconds), the analytic
+  ``--cache-dir`` (microseconds), the analytic
   backend, or an exact simulation when ``--accuracy`` demands it.
   Every answer names its tier and error bound.  ``--json`` emits the
   answer as sorted-key JSON; ``--batch`` reads one JSON query object
   per stdin line and writes one JSON answer per line
-  (deterministically, so output is byte-stable across runs).  With
-  ``query`` a ``--checkpoint`` file is a read-only harvest source and
-  is never truncated.
+  (deterministically, so output is byte-stable across runs).
 
 Observability (see :mod:`repro.telemetry`):
 
@@ -150,7 +147,6 @@ from repro.analysis.export import (
     export_xdr,
 )
 from repro.core.config import SystemConfig
-from repro.resilience import SweepCheckpoint
 from repro.telemetry import StreamProgressSink, Telemetry, write_metrics
 from repro.usecase.levels import level_by_name
 
@@ -222,39 +218,12 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--checkpoint",
-        type=str,
-        default=None,
-        metavar="FILE",
-        help=(
-            "record completed sweep points to FILE (JSON lines) as they "
-            "finish; combine with --resume to pick up an interrupted run"
-        ),
-    )
-    parser.add_argument(
         "--resume",
         action="store_true",
         help=(
-            "reuse the points already in --checkpoint FILE instead of "
-            "truncating it; only missing points are recomputed"
-        ),
-    )
-    parser.add_argument(
-        "--force",
-        action="store_true",
-        help=(
-            "allow --resume to reuse checkpoint points recorded under a "
-            "different --backend (normally refused: mixing backends in "
-            "one checkpoint blends fidelities)"
-        ),
-    )
-    parser.add_argument(
-        "--durable-checkpoint",
-        action="store_true",
-        help=(
-            "fsync every checkpoint append (machine-crash durability; "
-            "requires --checkpoint; the default already survives the "
-            "process dying)"
+            "rerun against --cache-dir DIR: serve its stored points and "
+            "the points an earlier run quarantined (as ERR cells) "
+            "instead of retrying them; requires --cache-dir"
         ),
     )
     parser.add_argument(
@@ -265,7 +234,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "wall-clock deadline per sweep point (watchdog supervision): "
             "hung points are killed, requeued, and quarantined as ERR "
-            "cells when they hang on every attempt"
+            "cells (stored in --cache-dir) when they hang on every attempt"
         ),
     )
     parser.add_argument(
@@ -275,10 +244,11 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help=(
             "persistent content-addressed result cache: completed sweep "
-            "points are stored in DIR keyed by their full job description "
-            "(configuration, backend, engine version) and served from "
-            "disk on re-runs; corrupt entries are recomputed with a "
-            "warning (non-zero exit under strict mode)"
+            "points are stored in DIR as they finish, keyed by their full "
+            "job description (configuration, backend, engine version), and "
+            "served from disk on re-runs, so an interrupted run recomputes "
+            "only the missing points; corrupt entries are recomputed with "
+            "a warning (non-zero exit under strict mode)"
         ),
     )
     parser.add_argument(
@@ -631,17 +601,8 @@ def _run_command(args: argparse.Namespace) -> Tuple[List[str], int]:
         )
         kwargs["workload"] = bound_workload
     workload_kw = {} if bound_workload is None else {"workload": bound_workload}
-    if args.checkpoint is not None:
-        # ``query`` only ever *reads* a checkpoint (as a surrogate
-        # harvest source); truncating it would destroy the very points
-        # the oracle is asked to serve.
-        if not args.resume and args.command != "query":
-            SweepCheckpoint(args.checkpoint).clear()
-        kwargs["checkpoint"] = args.checkpoint
-        if args.force:
-            kwargs["checkpoint_force"] = True
-        if args.durable_checkpoint:
-            kwargs["durable_checkpoint"] = True
+    if args.resume:
+        kwargs["resume"] = True
     if args.point_timeout is not None:
         kwargs["point_timeout"] = args.point_timeout
     if not args.strict:
@@ -927,9 +888,6 @@ def _run_command(args: argparse.Namespace) -> Tuple[List[str], int]:
             oracle_kwargs["exact_backend"] = args.backend
         oracle = FeasibilityOracle(
             cache=cache_store,
-            checkpoints=(
-                (args.checkpoint,) if args.checkpoint is not None else ()
-            ),
             telemetry=telemetry,
             **oracle_kwargs,
         )
@@ -1018,10 +976,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point."""
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.resume and args.checkpoint is None:
-        parser.error("--resume requires --checkpoint FILE")
-    if args.durable_checkpoint and args.checkpoint is None:
-        parser.error("--durable-checkpoint requires --checkpoint FILE")
+    if args.resume and args.cache_dir is None:
+        parser.error("--resume requires --cache-dir DIR")
     if args.backend is not None:
         # Validate eagerly so even subcommands that never build a
         # SystemConfig (e.g. table1) reject a typo'd backend.

@@ -139,7 +139,8 @@ class ReorderingChannelEngine:
 
         pd_cycles = 0
         pd_entries = 0
-        n_act = n_pre = n_rd = n_wr = n_ref = 0
+        n_act = n_pre = n_rd = n_wr = n_ref = n_conflict = 0
+        bank_accesses = [0] * nbanks
         faw_hist = [-(10**9)] * 4
         faw_idx = 0
 
@@ -160,15 +161,17 @@ class ReorderingChannelEngine:
 
         refill()
         while pending:
-            now = cmd_free if cmd_free > 0 else 0
+            # A request that arrives while either bus is still busy is
+            # queued behind the work in flight, as in the in-order
+            # engine; only an arrival after both go idle opens a gap.
+            busy_until = cmd_free if cmd_free > bus_free else bus_free
 
             # --- choose the next request (FR-FCFS) -------------------
-            ready = [e for e in pending if e[3] <= now]
+            ready = [e for e in pending if e[3] <= busy_until]
             if not ready:
                 # Idle until the earliest arrival; hand the gap to the
                 # power-down policy.
                 arrival = min(e[3] for e in pending)
-                busy_until = cmd_free if cmd_free > bus_free else bus_free
                 gap = arrival - busy_until
                 down = self.power_down.powered_down_cycles(gap, t.t_cke, t.t_xp)
                 floor = arrival
@@ -183,6 +186,7 @@ class ReorderingChannelEngine:
                         log_append(CommandRecord(arrival, Command.POWER_DOWN_EXIT))
                 if floor > cmd_free:
                     cmd_free = floor
+                bus_free = arrival
                 continue
 
             oldest = ready[0]
@@ -224,6 +228,17 @@ class ReorderingChannelEngine:
                     cmd_free = ref_done
                 n_ref += 1
                 next_ref += t.t_refi
+                while next_ref <= cmd_free:
+                    # Catch up if an idle gap crossed several tREFI.
+                    if log_append is not None:
+                        log_append(CommandRecord(cmd_free, Command.REFRESH))
+                    ref_done = cmd_free + 1 + t.t_rfc
+                    for b in range(nbanks):
+                        if act_ready[b] < ref_done:
+                            act_ready[b] = ref_done
+                    cmd_free = ref_done
+                    n_ref += 1
+                    next_ref += t.t_refi
 
             t0 = cmd_free
 
@@ -233,6 +248,7 @@ class ReorderingChannelEngine:
                     tpre = max(pre_ready[bank], t0, cmd_free)
                     cmd_free = tpre + 1
                     n_pre += 1
+                    n_conflict += 1
                     last_pre_any = tpre
                     if log_append is not None:
                         log_append(CommandRecord(tpre, Command.PRECHARGE, bank))
@@ -256,6 +272,7 @@ class ReorderingChannelEngine:
                 n_act += 1
 
             # --- column command --------------------------------------
+            bank_accesses[bank] += 1
             tc = max(col_ready[bank], t0)
             if op == 0:
                 tc = max(tc, last_wr_end + t.t_wtr, bus_free - cas, cmd_free)
@@ -311,4 +328,6 @@ class ReorderingChannelEngine:
             chunks_written=n_wr,
             counters=counters,
             states=states,
+            bank_accesses=tuple(bank_accesses),
+            bank_conflicts=n_conflict,
         )

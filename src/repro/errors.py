@@ -84,10 +84,6 @@ class JobTimeoutError(SimulationError):
     """
 
 
-class CheckpointError(ReproError):
-    """A sweep checkpoint file could not be read or written."""
-
-
 class RegressionError(ReproError):
     """A golden-baseline file could not be loaded or is malformed.
 

@@ -1,10 +1,10 @@
-"""Canonical content keys for jobs, checkpoints and the result cache.
+"""Canonical content keys for jobs and the result cache.
 
-Checkpoint and cache entries identify a piece of completed work by a
-content key: two runs may share a stored result if and only if their
-keys match.  Until this module existed the sweep checkpoint hashed the
-``repr`` of the job description, which had two defects the result
-cache cannot inherit:
+Cache entries identify a piece of completed work by a content key: two
+runs may share a stored result if and only if their keys match.  Until
+this module existed sweep points were keyed by the ``repr`` of the job
+description, which had two defects a content-addressed store cannot
+inherit:
 
 - ``repr`` omits nothing *visibly* but promises nothing *stably*: a
   dataclass gaining a field with a default, or a field changing its
@@ -26,9 +26,8 @@ field names mean a *semantic* refactor (renaming a field, changing a
 default's meaning) still changes the key -- which is the safe
 direction for cached simulation results.
 
-Shared by :class:`repro.resilience.checkpoint.SweepCheckpoint` and
-:class:`repro.service.cache.ResultCache`, so a sweep's checkpoint keys
-and its cache keys are the same function of the same description.
+:class:`repro.service.cache.ResultCache` files every sweep point under
+this key, and the feasibility oracle probes it with the same function.
 """
 
 from __future__ import annotations

@@ -9,9 +9,8 @@ it can and escalates only as far as the caller's accuracy budget
 demands:
 
 1. **surrogate** -- monotone interpolation over exact sweep points
-   harvested from the result cache and/or sweep checkpoints
-   (:mod:`repro.oracle.surrogate`); microseconds, with an explicit
-   confidence interval per answer;
+   harvested from the result cache (:mod:`repro.oracle.surrogate`);
+   microseconds, with an explicit confidence interval per answer;
 2. **analytic** -- the closed-form backend within its documented 15 %
    tolerance; milliseconds;
 3. **exact** -- a bit-identical backend (``batch``/``reference``),
@@ -35,7 +34,6 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
-    Any,
     Dict,
     Iterable,
     List,
@@ -66,7 +64,6 @@ from repro.oracle.planner import (
     CostPlanner,
 )
 from repro.oracle.surrogate import SurrogateSurface
-from repro.resilience.checkpoint import SweepCheckpoint
 from repro.service.cache import ResultCache, resolve_cache
 from repro.telemetry.session import Telemetry
 from repro.usecase.levels import H264Level, level_by_name
@@ -175,10 +172,9 @@ class FeasibilityOracle:
     """Low-latency feasibility query layer over the stored sweep work.
 
     ``cache`` (directory path or prepared
-    :class:`~repro.service.cache.ResultCache`) and ``checkpoints``
-    (paths or :class:`~repro.resilience.checkpoint.SweepCheckpoint`\\ s)
-    are the harvest sources for surrogate surfaces *and* -- for the
-    cache -- the store exact/analytic answers are folded back into.
+    :class:`~repro.service.cache.ResultCache`) is the harvest source
+    for surrogate surfaces *and* the store exact answers are folded
+    back into.
     ``scale`` / ``chunk_budget`` / ``block_bytes`` pin the simulation
     context; they are part of every canonical key, so an oracle only
     harvests points computed under the identical context.
@@ -195,7 +191,6 @@ class FeasibilityOracle:
     def __init__(
         self,
         cache: Optional[Union[str, Path, ResultCache]] = None,
-        checkpoints: Sequence[Union[str, Path, SweepCheckpoint]] = (),
         chunk_budget: int = DEFAULT_CHUNK_BUDGET,
         block_bytes: int = DEFAULT_BLOCK_BYTES,
         scale: Optional[float] = None,
@@ -206,7 +201,6 @@ class FeasibilityOracle:
         margin: float = PAPER_MARGIN,
     ) -> None:
         self.cache = resolve_cache(cache)
-        self.checkpoints = tuple(checkpoints)
         self.chunk_budget = chunk_budget
         self.block_bytes = block_bytes
         self.scale = scale
@@ -216,34 +210,18 @@ class FeasibilityOracle:
         self.probe_channels = tuple(probe_channels)
         self.probe_freqs = tuple(probe_freqs)
         self._surfaces: Dict[tuple, SurrogateSurface] = {}
-        self._checkpoint_payloads: Optional[Dict[str, Any]] = None
         if telemetry is not None:
             for name in _COUNTERS:
                 telemetry.registry.counter(name).add(0)
 
     # -- harvesting ---------------------------------------------------------
 
-    def _stored_payloads(self) -> Dict[str, Any]:
-        """Merged key -> payload map of every attached checkpoint."""
-        if self._checkpoint_payloads is None:
-            merged: Dict[str, Any] = {}
-            for source in self.checkpoints:
-                store = (
-                    source
-                    if isinstance(source, SweepCheckpoint)
-                    else SweepCheckpoint(source)
-                )
-                merged.update(store.load())
-            self._checkpoint_payloads = merged
-        return self._checkpoint_payloads
-
     def _lookup(self, key: str) -> Optional[SweepPoint]:
-        """One stored exact point by canonical key, if any."""
-        if self.cache is not None and self.cache.contains(key):
-            hit = self.cache.get(key)
-            if isinstance(hit, SweepPoint):
-                return hit
-        hit = self._stored_payloads().get(key)
+        """One stored exact point by canonical key, if any (a negative
+        entry is not a point)."""
+        if self.cache is None or not self.cache.contains(key):
+            return None
+        hit = self.cache.get(key)
         return hit if isinstance(hit, SweepPoint) else None
 
     def surface_for(
@@ -255,7 +233,7 @@ class FeasibilityOracle:
         backend, the point's canonical key -- the same
         :func:`~repro.analysis.sweep.point_key` a sweep files it
         under, workload identity included -- is looked up in the
-        attached stores.  No directory scanning, so a cache shared
+        attached cache.  No directory scanning, so a cache shared
         across workloads can never leak foreign points onto a surface.
 
         Built surfaces are filed in memory under a plain tuple of the

@@ -8,7 +8,7 @@ tier       source                                error bound
 ========== ===================================== =====================
 surrogate  monotone interpolation over exact     data-dependent; the
            sweep points already in the result    bracketing interval is
-           cache / checkpoints (microseconds)    reported per answer
+           cache (microseconds)                  reported per answer
 analytic   the closed-form ``analytic`` backend  its registered
            (milliseconds)                        ``reference_tolerance``
                                                  (documented 15 %)

@@ -3,8 +3,8 @@
 A surface holds, per channel count, the exact-tier
 :class:`~repro.analysis.sweep.SweepPoint`\\ s already computed for one
 (level, workload, scale, budget, block size) context -- harvested from
-the result cache and/or sweep checkpoints -- and answers off-grid
-frequency queries by interpolation.
+the result cache -- and answers off-grid frequency queries by
+interpolation.
 
 The estimate interpolates access time linearly in ``1/f`` (access
 time is close to ``cycles / f``, so it is near-linear in the period)

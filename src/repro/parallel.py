@@ -246,7 +246,7 @@ def _pooled_map(
 
     Caller callbacks run through :func:`deliver`, which wraps anything
     they raise in :class:`CallbackError` -- an exception type no
-    ``except`` clause here matches -- so a failing checkpoint append
+    ``except`` clause here matches -- so a failing store write
     (an :class:`OSError`, which is also a pool-error type) can never be
     mistaken for a transient pool failure and cause the already-
     delivered job to be re-run.
@@ -448,12 +448,12 @@ def parallel_map(
 
     ``on_result`` (when given) is called in the parent process as
     ``on_result(index, value)`` the moment each job *succeeds* -- in
-    completion order, not input order -- which is what lets sweep
-    checkpoints record points as they finish.  ``on_failure`` is the
+    completion order, not input order -- which is what lets a sweep
+    store points as they finish.  ``on_failure`` is the
     counterpart for captured failures (including quarantines).  An
     exception raised by either callback is a *caller* error: it
     propagates unchanged, aborts the map, and is never retried or
-    recorded as a job failure -- a checkpoint append failing with
+    recorded as a job failure -- a store write failing with
     ``OSError`` must not look like a killed worker.
     """
     jobs = list(items)

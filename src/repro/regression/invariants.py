@@ -39,6 +39,13 @@ physics, not from any oracle's opinion of the right answer:
   prefix's commands are timed identically in both runs.  (A general
   *subset* carries no such guarantee -- removing a middle transaction
   changes which rows later accesses find open.)
+- **FR-FCFS degeneracy** -- a one-entry scheduling window leaves the
+  FR-FCFS engine nothing to reorder, so on each channel's share of the
+  traffic it must equal the in-order
+  :class:`~repro.controller.engine.ChannelEngine` on every
+  :class:`~repro.controller.engine.ChannelResult` field, bank
+  statistics included.  FR-FCFS is open-page only, so the relation is
+  checked under the open page policy whatever the case's own policy.
 
 Each case is additionally run through the cross-checking oracles of
 :func:`repro.analysis.validate.check_traffic_oracles`: the protocol
@@ -61,6 +68,9 @@ from dataclasses import dataclass, replace
 from typing import List
 
 from repro.analysis.validate import check_traffic_oracles
+from repro.backends.reference import build_engine
+from repro.controller.frfcfs import ReorderingChannelEngine
+from repro.controller.pagepolicy import PagePolicy
 from repro.core.system import MultiChannelMemorySystem
 from repro.regression.fuzzer import FuzzCase
 
@@ -185,6 +195,45 @@ def check_prefix_consistency(case: FuzzCase) -> List[InvariantViolation]:
     return []
 
 
+def check_frfcfs_degeneracy(case: FuzzCase) -> List[InvariantViolation]:
+    """FR-FCFS with a one-entry window must equal the in-order engine
+    on every :class:`~repro.controller.engine.ChannelResult` field, on
+    every channel (open page policy)."""
+    config = replace(case.config, page_policy=PagePolicy.OPEN)
+    in_order = build_engine(config)
+    reordering = ReorderingChannelEngine(
+        config.device,
+        config.freq_mhz,
+        multiplexing=config.multiplexing,
+        power_down=config.power_down,
+        interconnect=config.interconnect,
+        window=1,
+    )
+    split = MultiChannelMemorySystem(config).split(case.transactions)
+    violations: List[InvariantViolation] = []
+    for channel, runs in enumerate(split.runs):
+        expected = in_order.run(runs)
+        got = reordering.run(runs)
+        if got != expected:
+            fields = [
+                name
+                for name in expected.__dataclass_fields__
+                if getattr(got, name) != getattr(expected, name)
+            ]
+            violations.append(
+                InvariantViolation(
+                    invariant="FR-FCFS degeneracy",
+                    case=case,
+                    detail=(
+                        f"window=1 FR-FCFS differs from the in-order engine "
+                        f"on channel {channel} in {', '.join(fields)}"
+                    ),
+                    repro=case.repro(),
+                )
+            )
+    return violations
+
+
 def check_oracles(case: FuzzCase) -> List[InvariantViolation]:
     """Run the validation oracles on the case's own configuration.
 
@@ -217,5 +266,6 @@ def check_case_invariants(case: FuzzCase) -> List[InvariantViolation]:
     violations.extend(check_channel_monotonicity(case))
     violations.extend(check_frequency_monotonicity(case))
     violations.extend(check_prefix_consistency(case))
+    violations.extend(check_frfcfs_degeneracy(case))
     violations.extend(check_oracles(case))
     return violations

@@ -11,17 +11,13 @@ completed work.  This package supplies the machinery:
   (:class:`JobFailure`, with ``error``/``timeout``/``quarantined``
   kinds) and the graceful-degradation sweep result
   (:class:`SweepReport`);
-- :mod:`repro.resilience.checkpoint` -- the append-only JSON-lines
-  checkpoint store behind ``sweep_use_case(checkpoint=...)`` and the
-  CLI's ``--checkpoint``/``--resume`` (:class:`SweepCheckpoint`, with
-  opt-in per-append fsync durability);
 - :mod:`repro.resilience.supervisor` -- the watchdog layer over
   :func:`repro.parallel.parallel_map`: per-job wall-clock deadlines,
   heartbeat-based hang detection, kill-and-requeue, and quarantine of
   jobs that exhaust their strike budget (:class:`Watchdog`);
 - :mod:`repro.resilience.faults` -- controlled fault injection (worker
   crash or permanent stall on the Nth job, deterministic job failure,
-  torn checkpoint writes, corrupted timing parameters, malformed
+  torn result-cache writes, corrupted timing parameters, malformed
   request streams) for testing all of the above;
 - :mod:`repro.resilience.chaos` -- the seeded chaos campaign that runs
   a real sweep under randomized crash/stall/torn-write injection and
@@ -34,11 +30,6 @@ model (:class:`repro.dram.protocol.ProtocolChecker`) and is enabled
 per-configuration via ``SystemConfig(check_invariants=True)``.
 """
 
-from repro.resilience.checkpoint import (
-    CHECKPOINT_VERSION,
-    CheckpointWarning,
-    SweepCheckpoint,
-)
 from repro.resilience.faults import TornWriteInjected
 from repro.resilience.report import (
     FAILURE_KIND_ERROR,
@@ -51,8 +42,6 @@ from repro.resilience.retry import DEFAULT_RETRY_POLICY, NO_RETRY, RetryPolicy
 from repro.resilience.supervisor import Watchdog
 
 __all__ = [
-    "CHECKPOINT_VERSION",
-    "CheckpointWarning",
     "DEFAULT_RETRY_POLICY",
     "FAILURE_KIND_ERROR",
     "FAILURE_KIND_QUARANTINED",
@@ -60,7 +49,6 @@ __all__ = [
     "JobFailure",
     "NO_RETRY",
     "RetryPolicy",
-    "SweepCheckpoint",
     "SweepReport",
     "TornWriteInjected",
     "Watchdog",

@@ -1,23 +1,22 @@
 """Seeded chaos campaign: a real sweep under randomized fault injection.
 
 The resilience machinery makes a compound promise -- crashes are
-retried, hangs are killed and requeued, torn checkpoint writes are
-repaired on resume, and through all of it the final sweep result is
+retried, hangs are killed and requeued, torn result-cache writes are
+recomputed on resume, and through all of it the final sweep result is
 **bit-identical** to an undisturbed run.  Each mechanism has unit
 tests; this module tests the *composition*, which is where resilience
-systems actually break (a retry that re-runs a checkpointed point, a
-repair that eats a neighbouring record, a kill that leaks into an
-innocent job).
+systems actually break (a retry that re-runs a stored point, a torn
+entry served as a result, a kill that leaks into an innocent job).
 
 :func:`run_chaos_campaign` runs one small but real sweep per seed.
 Each seed drives a :class:`random.Random` that draws a fresh fault
 before every attempt -- a worker crash, a permanent stall, or a torn
-checkpoint write, aimed at a random point -- and the sweep runs under
-full supervision (``point_timeout``, checkpoint, strict mode).  Torn
-writes tear the run down mid-checkpoint
+result-cache write, aimed at a random point -- and the sweep runs under
+full supervision (``point_timeout``, a result cache, strict mode).  Torn
+writes tear the run down mid-write
 (:class:`~repro.resilience.faults.TornWriteInjected`); the campaign
-then *resumes* from the damaged checkpoint file, exactly as an
-operator would.  A campaign passes only if every seed converges to a
+then *resumes* against the damaged store (``resume=True``), exactly as
+an operator would.  A campaign passes only if every seed converges to a
 report bit-identical to the fault-free baseline (dataclass equality
 over every :class:`~repro.analysis.sweep.SweepPoint`) with zero
 residual failures.
@@ -133,10 +132,10 @@ def _draw_fault(rng: random.Random, n_jobs: int, marker_dir: str, serial: int) -
     the fault fires exactly once and the recovery machinery must then
     converge, which keeps each attempt's outcome decidable.  The
     ``site``/``index`` aim crash/stall at a random sweep point and
-    torn-write at a random checkpoint append.
+    torn-write at a random result-cache put.
     """
     mode = rng.choice(CHAOS_FAULT_MODES)
-    site = "checkpoint" if mode == "torn-write" else "sweep"
+    site = "cache" if mode == "torn-write" else "sweep"
     index = rng.randrange(n_jobs)
     marker = os.path.join(marker_dir, f"fault-{serial}.marker")
     return FaultPlan(
@@ -157,9 +156,9 @@ def run_chaos_campaign(
     """Run the seeded chaos campaign and report per-seed outcomes.
 
     For every seed: run the sweep under supervision with a one-shot
-    random fault armed; when a torn checkpoint write tears the run
-    down, draw a fresh fault and *resume* from the (damaged)
-    checkpoint file; repeat until the sweep completes or
+    random fault armed; when a torn cache write tears the run down,
+    draw a fresh fault and *resume* against the (damaged) result
+    cache; repeat until the sweep completes or
     ``max_attempts`` runs out.  The final report must be bit-identical
     to the fault-free baseline.
 
@@ -188,7 +187,7 @@ def run_chaos_campaign(
         rng = random.Random(seed)
         run = ChaosRun(seed=seed)
         with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
-            ckpt = os.path.join(tmp, "chaos.ckpt")
+            store = os.path.join(tmp, "store")
             report = None
             for attempt in range(1, max_attempts + 1):
                 run.attempts = attempt
@@ -203,14 +202,15 @@ def run_chaos_campaign(
                             chunk_budget=chunk_budget,
                             backend=backend,
                             workers=workers,
-                            checkpoint=ckpt,
+                            cache=store,
+                            resume=True,
                             strict=True,
                             point_timeout=point_timeout,
                             telemetry=telemetry,
                         )
                 except TornWriteInjected:
-                    # The injected mid-append death: resume from the
-                    # torn checkpoint on the next attempt.
+                    # The injected mid-write death: resume against the
+                    # torn store on the next attempt.
                     report = None
                 finally:
                     registry = telemetry.registry

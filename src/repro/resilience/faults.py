@@ -15,11 +15,12 @@ classes the resilience subsystem claims to handle:
   :class:`~repro.errors.SimulationError` -- the failure a sweep must
   capture as a :class:`~repro.resilience.report.JobFailure` instead of
   aborting;
-- **torn checkpoint write** (``mode="torn-write"``): the Nth
-  :meth:`~repro.resilience.checkpoint.SweepCheckpoint.record` call
-  writes a truncated line and dies (:class:`TornWriteInjected`),
-  modelling a process killed mid-append -- a later ``--resume`` must
-  skip the torn tail and recompute only that point;
+- **torn cache write** (``mode="torn-write"``): the Nth
+  :meth:`~repro.service.cache.ResultCache.put` call of one store
+  instance leaves a truncated entry under the entry's own name and
+  dies (:class:`TornWriteInjected`), modelling a process killed
+  mid-write -- a later ``--resume`` must reject the torn entry and
+  recompute only that point;
 - **corrupted inputs**: :func:`corrupt_timing` skews one timing
   parameter (the invariant checker must flag the resulting illegal
   command stream) and :func:`malformed_runs` damages a request stream
@@ -66,11 +67,11 @@ _MARKER_MODES = ("crash", "stall", "torn-write")
 
 
 class TornWriteInjected(SimulationError):
-    """The injected torn checkpoint write fired.
+    """The injected torn cache write fired.
 
-    Models the process dying mid-append: the checkpoint file is left
-    with a truncated final line and the sweep is torn down.  The chaos
-    harness treats it as the interruption to resume from.
+    Models the process dying mid-write: the result cache is left with
+    a truncated entry and the sweep is torn down.  The chaos harness
+    treats it as the interruption to resume from.
     """
 
 
@@ -162,7 +163,7 @@ def maybe_inject(site: str, index: int) -> None:
     :func:`repro.analysis.sweep._sweep_point_job`).  A single
     environment lookup when no plan is armed, so production sweeps pay
     nothing.  ``torn-write`` plans are inert here -- they target the
-    checkpoint writer, which consults :func:`maybe_torn_write`.
+    result-cache writer, which consults :func:`maybe_torn_write`.
     """
     plan = _armed_plan()
     if plan is None or plan.mode == "torn-write":
@@ -188,12 +189,12 @@ def maybe_inject(site: str, index: int) -> None:
 
 
 def maybe_torn_write(site: str, index: int) -> bool:
-    """Whether the armed ``torn-write`` fault targets this append.
+    """Whether the armed ``torn-write`` fault targets this write.
 
-    Consulted by :meth:`repro.resilience.checkpoint.SweepCheckpoint.record`
-    with ``index`` counting the record calls of the running process.
-    Returns ``True`` exactly when the write must be torn (the caller
-    writes a truncated line and raises :class:`TornWriteInjected`);
+    Consulted by :meth:`repro.service.cache.ResultCache.put` with
+    ``index`` counting the puts of that store instance.  Returns
+    ``True`` exactly when the write must be torn (the caller writes a
+    truncated entry and raises :class:`TornWriteInjected`);
     one-shot plans claim their marker here so a resumed run is not
     torn again.
     """

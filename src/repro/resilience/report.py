@@ -41,8 +41,8 @@ class JobFailure:
     :data:`FAILURE_KIND_TIMEOUT` (hung past its deadline until
     quarantined) and :data:`FAILURE_KIND_QUARANTINED` (repeatedly took
     its worker down until quarantined).  Timeout/quarantine records are
-    persisted into sweep checkpoints so a ``--resume`` does not re-hang
-    on the same point.
+    stored in the result cache as negative entries, so a ``--resume``
+    does not re-hang on the same point.
     """
 
     #: Position of the job in the submitted sequence.
@@ -152,8 +152,8 @@ class SweepReport(Sequence):
         self.total: int = (
             total if total is not None else len(self.points) + len(self.failures)
         )
-        #: How many points were restored from a checkpoint rather than
-        #: recomputed.
+        #: How many quarantined points a resumed sweep served from the
+        #: result cache as their recorded failures.
         self.resumed: int = resumed
         #: How many points were served from the content-addressed
         #: result cache (see :mod:`repro.service.cache`) rather than
@@ -187,10 +187,10 @@ class SweepReport(Sequence):
     def summary(self) -> str:
         """One-line completion summary for logs and reports."""
         parts = [f"{len(self.points)}/{self.total} points completed"]
-        if self.resumed:
-            parts.append(f"{self.resumed} resumed from checkpoint")
         if self.cached:
             parts.append(f"{self.cached} served from cache")
+        if self.resumed:
+            parts.append(f"{self.resumed} quarantine(s) restored from cache")
         if self.failures:
             parts.append(f"{len(self.failures)} failed")
         return ", ".join(parts)

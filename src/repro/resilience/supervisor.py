@@ -39,7 +39,7 @@ being retried forever.  Without a watchdog the budget is the attempt
 budget but at least two deaths: a death names every job in flight,
 so one death alone convicts no one.  Quarantine folds into the existing
 ERR-cell/``strict=`` sweep semantics, and the sweep runner records it
-into the checkpoint so a ``--resume`` does not re-hang on the same
+into the result cache so a ``--resume`` does not re-hang on the same
 point.
 
 Clock note: beat timestamps are ``time.monotonic()`` values compared
@@ -76,7 +76,7 @@ class CallbackError(Exception):
     (``on_result``/``on_failure``).
 
     The wrapping exists purely so the retry machinery cannot mistake a
-    failing callback (say, a checkpoint append hitting a full disk,
+    failing callback (say, a store write hitting a full disk,
     which raises :class:`OSError` -- also a pool-failure type) for a
     transient pool failure and re-run jobs whose results were already
     delivered.  :func:`repro.parallel.parallel_map` unwraps it and

@@ -1,9 +1,10 @@
 """The persistent result cache shared by every sweep.
 
 :mod:`repro.service.cache` is a content-addressed on-disk store of
-completed sweep points, keyed by :func:`repro.keys.canonical_key` --
-the same key the sweep checkpoint uses, so every figure, the explorer,
-the ``sweep`` subcommand and the feasibility oracle share stored work.
+completed sweep points, keyed by :func:`repro.keys.canonical_key`, so
+every figure, the explorer, the ``sweep`` subcommand and the
+feasibility oracle share stored work, and an interrupted sweep resumes
+from it.
 """
 
 from __future__ import annotations

@@ -14,10 +14,9 @@ Keying
 Entries are addressed by :func:`repro.keys.canonical_key` digests --
 the sorted-JSON projection of the full job description (level,
 configuration *including its backend*, scale, budget, block size)
-hashed together with :data:`repro.keys.ENGINE_VERSION`.  The sweep
-checkpoint uses the same function, so "same point" means the same
-thing to both stores; changing any config field, the backend, or the
-engine version changes the key and misses cleanly.
+hashed together with :data:`repro.keys.ENGINE_VERSION`.  Changing
+any config field, the backend, or the engine version changes the key
+and misses cleanly.
 
 Layout and durability
 ---------------------
@@ -33,11 +32,17 @@ payload digest before unpickling; any damage (truncation, bit rot, a
 foreign file) degrades to a miss with a :class:`CacheWarning` and the
 corrupt entry is removed so it cannot warn forever.  A failure is
 *never* raised out of :meth:`get`: a broken cache must cost a
-recompute, not a sweep.
+recompute, not a sweep.  This is also what makes the store the sweep's
+resume mechanism: a process killed mid-sweep leaves every finished
+point stored and at worst one staging file, which :meth:`clear`
+removes.
 
-Failures are never cached: :meth:`put` refuses
-:class:`~repro.resilience.report.JobFailure` payloads loudly, so a
-quarantined or ERR point is always re-attempted by the next run.
+Quarantined points are *negative entries*: :meth:`put` stores a
+:class:`~repro.resilience.report.JobFailure` whose ``quarantined`` is
+true (a point that hung or killed its worker on every attempt), so a
+resumed sweep can serve the recorded failure instead of hanging on the
+point again.  Every other failure is refused loudly -- a deterministic
+error is always recomputed by the next run.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ import zlib
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Union
 
+from repro.resilience.faults import TornWriteInjected, maybe_torn_write
 from repro.resilience.report import JobFailure
 
 PathLike = Union[str, Path]
@@ -61,6 +67,9 @@ CACHE_FORMAT = "repro-cache/1"
 
 #: File suffix of one cache entry.
 ENTRY_SUFFIX = ".rc"
+
+#: Name prefix of a staged, not yet renamed, entry.
+STAGING_PREFIX = ".staging-"
 
 
 class CacheWarning(UserWarning):
@@ -104,6 +113,8 @@ class ResultCache:
             "writes": 0,
             "evictions": 0,
         }
+        # Counts this instance's puts: the torn-write fault's index.
+        self._puts = 0
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -138,13 +149,14 @@ class ResultCache:
             return 0
 
     def clear(self) -> None:
-        """Delete every entry (the directory itself is kept)."""
+        """Delete every entry and every staging file a killed writer
+        left behind (the directory itself is kept)."""
         try:
             names = os.listdir(self.directory)
         except OSError:
             return
         for name in names:
-            if name.endswith(ENTRY_SUFFIX):
+            if name.endswith(ENTRY_SUFFIX) or name.startswith(STAGING_PREFIX):
                 try:
                     os.unlink(self.directory / name)
                 except OSError:
@@ -230,16 +242,17 @@ class ResultCache:
         """Store ``payload`` under ``key`` atomically.
 
         ``coords`` is a small human-readable dict echoed into the
-        header for forensics.  :class:`JobFailure` payloads are
-        refused with :class:`ValueError`: failed and quarantined
-        points must be retried by future runs, never served.
+        header for forensics.  A quarantined :class:`JobFailure` is
+        stored as a negative entry; any other :class:`JobFailure` is
+        refused with :class:`ValueError`, because a deterministic
+        error must be recomputed by future runs, never served.
         An unwritable cache directory degrades to a warning -- the
         sweep computed the point either way.
         """
-        if isinstance(payload, JobFailure):
+        if isinstance(payload, JobFailure) and not payload.quarantined:
             raise ValueError(
-                "refusing to cache a JobFailure: failed/quarantined sweep "
-                "points must be recomputed, not served from the cache"
+                "refusing to cache a non-quarantined JobFailure: failed "
+                "sweep points must be recomputed, not served from the cache"
             )
         blob = zlib.compress(pickle.dumps(payload))
         header = json.dumps(
@@ -251,10 +264,22 @@ class ResultCache:
             },
             sort_keys=True,
         ).encode("utf-8")
+        seq = self._puts
+        self._puts += 1
+        if maybe_torn_write("cache", seq):
+            # Injected fault: a writer that died mid-write without the
+            # atomic rename, leaving half an entry under its own name.
+            entry = header + b"\n" + blob
+            self.directory.mkdir(parents=True, exist_ok=True)
+            with open(self.entry_path(key), "wb") as handle:
+                handle.write(entry[: len(entry) // 2])
+            raise TornWriteInjected(
+                f"injected torn cache write at put #{seq} ({self.directory})"
+            )
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
             fd, staging = tempfile.mkstemp(
-                prefix=".staging-", suffix=ENTRY_SUFFIX + ".tmp",
+                prefix=STAGING_PREFIX, suffix=ENTRY_SUFFIX + ".tmp",
                 dir=self.directory,
             )
             try:

@@ -8,9 +8,9 @@ plugs a rate-limited :class:`StreamProgressSink` on stderr
 (``--progress``), tests plug a :class:`CallbackProgressSink`, and the
 default :class:`NullProgressSink` keeps the library silent.
 
-The ETA is estimated from the points computed *this run* (resumed
-checkpoint points are excluded from the rate, or a warm resume would
-promise an absurdly optimistic finish).
+The ETA is estimated from the points computed *this run* (points
+served from the result store are excluded from the rate, or a warm
+resume would promise an absurdly optimistic finish).
 """
 
 from __future__ import annotations
@@ -25,14 +25,15 @@ from typing import Any, Callable, Mapping, Optional, TextIO
 class ProgressEvent:
     """One heartbeat of a running sweep."""
 
-    #: Points finished so far (resumed + computed + failed).
+    #: Points finished so far (stored + computed + failed).
     done: int
     #: Points the sweep was asked for.
     total: int
-    #: Points that failed so far (graceful degradation).
+    #: Points that failed in this run (graceful degradation).
     failed: int
-    #: Points restored from a checkpoint rather than computed.
-    resumed: int
+    #: Points served from the result store (stored points and, on a
+    #: resume, restored quarantines) rather than computed.
+    stored: int
     #: Wall-clock since the sweep started, seconds.
     elapsed_s: float
     #: Estimated seconds to completion (``None`` until the first point
@@ -55,8 +56,8 @@ class ProgressEvent:
     def describe(self) -> str:
         """One-line human-readable heartbeat."""
         parts = [f"sweep {self.done}/{self.total} ({self.fraction * 100:.0f} %)"]
-        if self.resumed:
-            parts.append(f"{self.resumed} resumed")
+        if self.stored:
+            parts.append(f"{self.stored} stored")
         if self.failed:
             parts.append(f"{self.failed} failed")
         if self.eta_s is not None and not self.finished:
@@ -123,39 +124,41 @@ class StreamProgressSink(ProgressSink):
 class SweepProgress:
     """Tracks a running sweep and feeds heartbeats to a sink.
 
-    Driven by :func:`repro.analysis.sweep.sweep_use_case`: one
-    :meth:`point_done` per completed point (in completion order) and a
-    single :meth:`finish` once the failure count is known.
+    Driven by :func:`repro.analysis.sweep.sweep_use_case`: seeded with
+    the ``stored`` points the result store served (positive entries
+    and restored quarantines alike), then one :meth:`point_done` per
+    computed point (in completion order) and a single :meth:`finish`
+    once this run's failure count is known.
     """
 
     def __init__(
         self,
         sink: ProgressSink,
         total: int,
-        resumed: int = 0,
+        stored: int = 0,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self._sink = sink
         self._total = total
-        self._resumed = resumed
+        self._stored = stored
         self._clock = clock
         self._start = clock()
-        self._done = resumed
+        self._done = stored
         self._failed = 0
-        if resumed:
+        if stored:
             # Announce the warm start before any new work lands.
             self._sink.emit(self._event())
 
     def _event(self, coords: Optional[Mapping[str, Any]] = None) -> ProgressEvent:
         elapsed = self._clock() - self._start
-        computed = self._done - self._resumed
+        computed = self._done - self._stored
         remaining = self._total - self._done
         eta = elapsed / computed * remaining if computed > 0 else None
         return ProgressEvent(
             done=self._done,
             total=self._total,
             failed=self._failed,
-            resumed=self._resumed,
+            stored=self._stored,
             elapsed_s=elapsed,
             eta_s=eta,
             coords=dict(coords) if coords else {},
@@ -167,7 +170,9 @@ class SweepProgress:
         self._sink.emit(self._event(coords))
 
     def finish(self, failed: int = 0) -> None:
-        """Record the final failure tally and emit the summary event.
+        """Record the failures computed in this run and emit the
+        summary event.  Restored quarantines were already counted as
+        stored, so they must not be passed here again.
 
         Skipped when the last :meth:`point_done` already reported the
         complete, failure-free sweep -- the summary would duplicate it.

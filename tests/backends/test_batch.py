@@ -1,6 +1,6 @@
 """Batch-backend specifics: segment decode, decode cache, fallbacks.
 
-Cross-backend parity/registry/checkpoint behaviour lives in the
+Cross-backend parity/registry/cache behaviour lives in the
 sibling suites (parametrized over ``batch``); this file pins what is
 unique to the batch engine -- the segment decode, the cross-point
 decode cache, and the exact-fallback paths that delegate to the

@@ -1,5 +1,7 @@
 """Tests for the FR-FCFS reordering engine."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +10,11 @@ from repro.controller.frfcfs import ReorderingChannelEngine
 from repro.controller.interconnect import InterconnectModel
 from repro.controller.mapping import AddressMultiplexing
 from repro.dram.datasheet import NEXT_GEN_MOBILE_DDR
+from repro.dram.powerstate import (
+    ImmediatePowerDown,
+    NoPowerDown,
+    TimeoutPowerDown,
+)
 from repro.errors import AddressError, ConfigurationError
 
 IDEAL = InterconnectModel(0.0)
@@ -94,6 +101,51 @@ class TestReorderingWins:
         fcfs = make_fcfs().run(runs)
         frfcfs = make_frfcfs().run(runs)
         assert frfcfs.finish_cycle == pytest.approx(fcfs.finish_cycle, rel=0.05)
+
+
+def random_runs(rng, t_refi):
+    """A short random run list with non-decreasing arrivals; some gaps
+    idle the channel past several refresh intervals."""
+    runs, arrival = [], 0
+    for _ in range(rng.randint(1, 10)):
+        if rng.random() < 0.5:
+            arrival += rng.choice((0, 5, 300, 3 * t_refi))
+        runs.append(
+            (rng.randint(0, 1), rng.randrange(2**17), rng.randint(1, 48), arrival)
+        )
+    return runs
+
+
+class TestWindowOneEqualsInOrder:
+    """A one-entry window has nothing to reorder: FR-FCFS must equal the
+    in-order engine on every ChannelResult field."""
+
+    @pytest.mark.parametrize("scheme", list(AddressMultiplexing))
+    @pytest.mark.parametrize("freq", [200.0, 400.0, 533.0])
+    def test_every_field_matches(self, scheme, freq):
+        rng = random.Random(f"{scheme.value}-{freq}")
+        policies = (ImmediatePowerDown(), NoPowerDown(), TimeoutPowerDown(16))
+        for case in range(12):
+            power_down = policies[case % len(policies)]
+            kwargs = dict(multiplexing=scheme, power_down=power_down)
+            fcfs = ChannelEngine(NEXT_GEN_MOBILE_DDR, freq, **kwargs)
+            runs = random_runs(rng, fcfs.timing.t_refi)
+            expected = fcfs.run(runs)
+            got = ReorderingChannelEngine(
+                NEXT_GEN_MOBILE_DDR, freq, window=1, **kwargs
+            ).run(runs)
+            assert got == expected, runs
+
+    def test_bank_statistics_reported(self):
+        # Alternating rows of one bank: every access after the first
+        # precharges the other open row.
+        runs = interleaved_bank_conflicts(50)
+        result = make_frfcfs(window=1).run(runs)
+        assert sum(result.bank_accesses) == 100
+        assert result.bank_accesses[0] == 100
+        assert result.bank_conflicts == 99
+        assert result.bank_balance < 1.0
+        assert result == make_fcfs().run(runs)
 
 
 class TestFairness:

@@ -4,11 +4,12 @@ import dataclasses
 
 import pytest
 
-from repro.analysis.sweep import sweep_use_case
+from repro.analysis.sweep import point_key, sweep_use_case
 from repro.core.config import SystemConfig
 from repro.errors import ConfigurationError
 from repro.oracle import FeasibilityOracle
 from repro.regression.fuzzer import _diff_exact
+from repro.resilience.report import FAILURE_KIND_TIMEOUT, JobFailure
 from repro.service.cache import ResultCache
 from repro.telemetry import Telemetry
 from repro.usecase.levels import level_by_name
@@ -97,17 +98,17 @@ class TestHarvest:
             LEVEL, spec
         )
 
-    def test_checkpoint_is_a_harvest_source(self, tmp_path):
-        checkpoint = tmp_path / "sweep.ckpt"
-        sweep_use_case(
-            [LEVEL],
-            [SystemConfig(channels=2, freq_mhz=f) for f in GRID_FREQS],
-            scale=SCALE,
-            checkpoint=checkpoint,
-            backend="batch",
+    def test_negative_entry_is_not_harvested(self, tmp_path):
+        # A quarantined point is stored as its failure, not as a point:
+        # the surface must skip it, not interpolate through it.
+        cache = _warm_cache(tmp_path / "cache")
+        config = SystemConfig(channels=2, freq_mhz=GRID_FREQS[0], backend="batch")
+        cache.put(
+            point_key(LEVEL, config, scale=SCALE),
+            JobFailure.from_quarantine(0, "job", FAILURE_KIND_TIMEOUT, "hung"),
         )
-        oracle = FeasibilityOracle(checkpoints=[checkpoint], scale=SCALE)
-        assert oracle.warm(LEVEL) == len(GRID_FREQS)
+        oracle = FeasibilityOracle(cache=cache, scale=SCALE)
+        assert oracle.warm(LEVEL) == 2 * len(GRID_FREQS) - 1
 
 
 class TestQueryTiers:

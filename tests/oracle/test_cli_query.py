@@ -5,12 +5,8 @@ import json
 
 import pytest
 
-from repro.analysis.sweep import sweep_use_case
 from repro.cli import main
-from repro.core.config import SystemConfig
 from repro.errors import ConfigurationError
-from repro.resilience import SweepCheckpoint
-from repro.usecase.levels import level_by_name
 
 SCALE = str(1 / 256)
 
@@ -43,25 +39,6 @@ class TestSingleQuery:
         answer = json.loads(capsys.readouterr().out)
         assert answer["tier"] == "exact"
         assert answer["error_bound"] == 0.0
-
-    def test_checkpoint_is_not_truncated_by_query(self, tmp_path, capsys):
-        # Every other subcommand truncates --checkpoint without
-        # --resume; for query the checkpoint is a read-only harvest
-        # source and must survive intact.
-        checkpoint = tmp_path / "sweep.ckpt"
-        sweep_use_case(
-            [level_by_name("3.1")],
-            [SystemConfig(channels=2, freq_mhz=f) for f in (266.0, 333.0)],
-            scale=1 / 256,
-            checkpoint=checkpoint,
-            backend="batch",
-        )
-        assert len(SweepCheckpoint(checkpoint)) == 2
-        assert main(["--scale", SCALE, "--checkpoint", str(checkpoint),
-                     "query", "--level", "3.1", "--channels", "2",
-                     "--freq", "300", "--json"]) == 0
-        capsys.readouterr()
-        assert len(SweepCheckpoint(checkpoint)) == 2
 
 
 class TestBatchMode:

@@ -15,6 +15,7 @@ from repro.regression.invariants import (
     MAX_CHECK_CHANNELS,
     MAX_CHECK_FREQ_MHZ,
     InvariantViolation,
+    check_frfcfs_degeneracy,
 )
 
 
@@ -57,6 +58,34 @@ class TestInvariantsHold:
             assert violations == [], "\n".join(
                 v.describe() for v in violations
             )
+
+
+class TestFrfcfsDegeneracy:
+    def test_holds_on_generated_cases(self):
+        # Cases span the three mappings, every fuzz clock and paced
+        # traffic whose gaps exercise power-down and refresh.
+        for case in generate_cases(5, 40):
+            violations = check_frfcfs_degeneracy(case)
+            assert violations == [], "\n".join(
+                v.describe() for v in violations
+            )
+
+    def test_names_the_diverging_fields(self, monkeypatch):
+        from repro.controller import frfcfs
+
+        real_run = frfcfs.ReorderingChannelEngine.run
+
+        def without_bank_stats(self, runs, command_log=None):
+            return replace(real_run(self, runs, command_log), bank_accesses=())
+
+        monkeypatch.setattr(
+            frfcfs.ReorderingChannelEngine, "run", without_bank_stats
+        )
+        case = next(c for c in generate_cases(5, 40) if c.kind == "sequential")
+        violations = check_frfcfs_degeneracy(case)
+        assert violations
+        assert violations[0].invariant == "FR-FCFS degeneracy"
+        assert "bank_accesses" in violations[0].detail
 
 
 class TestViolationReporting:

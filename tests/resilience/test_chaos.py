@@ -1,4 +1,4 @@
-"""Chaos campaign and torn-checkpoint-write injection.
+"""Chaos campaign and torn result-cache-write injection.
 
 The campaign's promise is compositional: crash + stall + torn-write
 recovery, stacked in random seeded order, must still converge to a
@@ -20,59 +20,57 @@ from repro.resilience.chaos import (
     _draw_fault,
     run_chaos_campaign,
 )
-from repro.resilience.checkpoint import CheckpointWarning, SweepCheckpoint
 from repro.resilience.faults import FaultPlan, TornWriteInjected, injected
+from repro.service.cache import CacheWarning, ResultCache
 
 needs_pool = pytest.mark.skipif(
     not pool_supported(), reason="process pool unavailable on this platform"
 )
 
 BUDGET = 2000
+KEY0 = "0" * 64
+KEY1 = "1" * 64
 
 
 class TestTornWriteInjection:
     def test_targeted_append_is_torn_and_raises(self, tmp_path):
-        path = tmp_path / "sweep.ckpt"
-        ckpt = SweepCheckpoint(path)
-        ckpt.record("k0", {"index": 0}, "payload-0")
-        plan = FaultPlan(
-            site="checkpoint", index=1, mode="torn-write", once=False
-        )
+        store = ResultCache(tmp_path / "store")
+        store.put(KEY0, "payload-0")
+        plan = FaultPlan(site="cache", index=1, mode="torn-write", once=False)
         with injected(plan):
-            with pytest.raises(TornWriteInjected, match="append #1"):
-                ckpt.record("k1", {"index": 1}, "payload-1")
-        # The file ends mid-line, exactly like a process killed
-        # mid-append; the completed record before it is untouched.
-        assert not path.read_bytes().endswith(b"\n")
-        fresh = SweepCheckpoint(path)
-        with pytest.warns(CheckpointWarning, match="skipped 1"):
-            assert fresh.load() == {"k0": "payload-0"}
+            with pytest.raises(TornWriteInjected, match="put #1"):
+                store.put(KEY1, "payload-1")
+        # Half an entry sits under the entry's own name, exactly like a
+        # writer killed before the atomic rename; the entry written
+        # before it is untouched.
+        assert store.entry_path(KEY1).exists()
+        fresh = ResultCache(tmp_path / "store")
+        assert fresh.get(KEY0) == "payload-0"
+        with pytest.warns(CacheWarning, match="recomputed"):
+            assert fresh.get(KEY1) is None
 
     def test_next_append_repairs_the_torn_tail(self, tmp_path):
-        path = tmp_path / "sweep.ckpt"
-        plan = FaultPlan(
-            site="checkpoint", index=0, mode="torn-write", once=False
-        )
+        plan = FaultPlan(site="cache", index=0, mode="torn-write", once=False)
         with injected(plan):
             with pytest.raises(TornWriteInjected):
-                SweepCheckpoint(path).record("k0", {}, "payload-0")
-        # A fresh instance models the resumed process: its first append
-        # must terminate the debris so the records cannot fuse.
-        resumed = SweepCheckpoint(path)
-        resumed.record("k0", {}, "payload-0")
-        resumed.record("k1", {}, "payload-1")
-        with pytest.warns(CheckpointWarning, match="skipped 1"):
-            done = SweepCheckpoint(path).load()
-        assert done == {"k0": "payload-0", "k1": "payload-1"}
+                ResultCache(tmp_path / "store").put(KEY0, "payload-0")
+        # A fresh instance models the resumed process: its put replaces
+        # the torn entry atomically, and nothing warns afterwards.
+        resumed = ResultCache(tmp_path / "store")
+        resumed.put(KEY0, "payload-0")
+        resumed.put(KEY1, "payload-1")
+        fresh = ResultCache(tmp_path / "store")
+        assert fresh.get(KEY0) == "payload-0"
+        assert fresh.get(KEY1) == "payload-1"
+        assert fresh.stats()["corrupt"] == 0
 
     def test_one_shot_plan_fires_exactly_once(self, tmp_path):
         # The chaos campaign arms one-shot plans: the torn write fires
-        # on the first targeted append and never again -- not even in
-        # the resumed "process" (fresh instance, seq back at 0) that
-        # retries the same append while the plan is still armed.
-        path = tmp_path / "sweep.ckpt"
+        # on the first targeted put and never again -- not even in
+        # the resumed "process" (fresh instance, put counter back at 0)
+        # that retries the same put while the plan is still armed.
         plan = FaultPlan(
-            site="checkpoint",
+            site="cache",
             index=0,
             mode="torn-write",
             once=True,
@@ -80,11 +78,9 @@ class TestTornWriteInjection:
         )
         with injected(plan):
             with pytest.raises(TornWriteInjected):
-                SweepCheckpoint(path).record("k0", {}, "payload-0")
-            resumed = SweepCheckpoint(path)
-            resumed.record("k0", {}, "payload-0")
-        with pytest.warns(CheckpointWarning):
-            assert SweepCheckpoint(path).load() == {"k0": "payload-0"}
+                ResultCache(tmp_path / "store").put(KEY0, "payload-0")
+            ResultCache(tmp_path / "store").put(KEY0, "payload-0")
+        assert ResultCache(tmp_path / "store").get(KEY0) == "payload-0"
 
 
 class TestFaultDraw:
@@ -112,9 +108,7 @@ class TestFaultDraw:
             assert plan.once
             assert plan.mode in CHAOS_FAULT_MODES
             assert plan.mode != "raise"
-            expected_site = (
-                "checkpoint" if plan.mode == "torn-write" else "sweep"
-            )
+            expected_site = "cache" if plan.mode == "torn-write" else "sweep"
             assert plan.site == expected_site
             assert 0 <= plan.index < 5
 

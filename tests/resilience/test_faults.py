@@ -19,8 +19,9 @@ from repro.errors import (
     WorkerError,
 )
 from repro.parallel import pool_supported
-from repro.resilience import SweepCheckpoint, SweepReport
+from repro.resilience import SweepReport
 from repro.resilience import faults
+from repro.service.cache import ResultCache
 from repro.telemetry import Telemetry
 from repro.usecase.levels import level_by_name
 
@@ -122,24 +123,24 @@ class TestSweepDegradation:
     def test_resume_after_fault_is_bit_identical(self, tmp_path):
         """The headline scenario: crash at point N, resume, and get the
         exact uninterrupted-sequential-sweep answer."""
-        path = tmp_path / "sweep.ckpt"
+        store = ResultCache(tmp_path / "store")
         with faults.injected(faults.FaultPlan(site="sweep", index=1)):
             partial = sweep_use_case(
                 [LEVEL],
                 CONFIGS,
                 chunk_budget=BUDGET,
-                checkpoint=path,
+                cache=store,
                 strict=False,
             )
         assert len(partial) == 2
-        assert len(SweepCheckpoint(path)) == 2
+        assert len(store) == 2
 
         # Fault cleared (the operator fixed the box); resume.
         resumed = sweep_use_case(
-            [LEVEL], CONFIGS, chunk_budget=BUDGET, checkpoint=path
+            [LEVEL], CONFIGS, chunk_budget=BUDGET, cache=store, resume=True
         )
         assert resumed.ok
-        assert resumed.resumed == 2
+        assert resumed.cached == 2
 
         fresh = sweep_use_case([LEVEL], CONFIGS, chunk_budget=BUDGET)
         assert list(resumed) == list(fresh)

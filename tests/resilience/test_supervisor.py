@@ -17,7 +17,6 @@ from repro.analysis.sweep import sweep_use_case
 from repro.core.config import SystemConfig
 from repro.errors import ConfigurationError, JobTimeoutError, WorkerError
 from repro.parallel import parallel_map, pool_supported
-from repro.resilience import SweepCheckpoint
 from repro.resilience.faults import CRASH_EXIT_CODE, FaultPlan, injected
 from repro.resilience.report import (
     FAILURE_KIND_QUARANTINED,
@@ -256,7 +255,7 @@ class TestSupervisedSweep:
     def test_quarantine_is_recorded_and_resume_does_not_rehang(
         self, tmp_path
     ):
-        path = tmp_path / "sweep.ckpt"
+        store = tmp_path / "store"
         plan = FaultPlan(site="sweep", index=1, mode="stall", once=False)
         with injected(plan):
             first = sweep_use_case(
@@ -265,12 +264,12 @@ class TestSupervisedSweep:
                 chunk_budget=BUDGET,
                 workers=2,
                 strict=False,
-                checkpoint=path,
+                cache=store,
                 point_timeout=1.0,
             )
         assert len(first.failures) == 1
-        # Resume with the stall STILL armed: the checkpointed
-        # quarantine must be honoured instead of re-hanging.
+        # Resume with the stall STILL armed: the stored quarantine
+        # must be honoured instead of re-hanging.
         start = time.monotonic()
         with injected(plan):
             again = sweep_use_case(
@@ -279,18 +278,20 @@ class TestSupervisedSweep:
                 chunk_budget=BUDGET,
                 workers=2,
                 strict=False,
-                checkpoint=path,
+                cache=store,
+                resume=True,
                 point_timeout=1.0,
             )
         assert time.monotonic() - start < 5.0
-        assert again.resumed == len(CONFIGS)
+        assert again.cached == len(CONFIGS) - 1
+        assert again.resumed == 1
         assert list(again) == list(first)
         assert len(again.failures) == 1
         assert again.failures[0].kind == FAILURE_KIND_TIMEOUT
         assert again.failures[0].coords == first.failures[0].coords
 
     def test_resumed_quarantine_still_raises_in_strict_mode(self, tmp_path):
-        path = tmp_path / "sweep.ckpt"
+        store = tmp_path / "store"
         plan = FaultPlan(site="sweep", index=1, mode="stall", once=False)
         with injected(plan):
             sweep_use_case(
@@ -299,7 +300,7 @@ class TestSupervisedSweep:
                 chunk_budget=BUDGET,
                 workers=2,
                 strict=False,
-                checkpoint=path,
+                cache=store,
                 point_timeout=1.0,
             )
         with pytest.raises(WorkerError, match="channels': 2"):
@@ -309,7 +310,8 @@ class TestSupervisedSweep:
                 chunk_budget=BUDGET,
                 workers=2,
                 strict=True,
-                checkpoint=path,
+                cache=store,
+                resume=True,
                 point_timeout=1.0,
             )
 

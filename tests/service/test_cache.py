@@ -11,8 +11,14 @@ from repro.analysis.sweep import sweep_use_case
 from repro.core.config import SystemConfig
 from repro.regression.fuzzer import _diff_exact
 from repro.resilience import faults
-from repro.resilience.report import JobFailure
-from repro.service.cache import CacheWarning, ResultCache, resolve_cache
+from repro.resilience.report import FAILURE_KIND_TIMEOUT, JobFailure
+from repro.service.cache import (
+    ENTRY_SUFFIX,
+    STAGING_PREFIX,
+    CacheWarning,
+    ResultCache,
+    resolve_cache,
+)
 from repro.telemetry import Telemetry
 from repro.usecase.levels import level_by_name
 
@@ -52,6 +58,16 @@ class TestRoundTrip:
         cache.clear()
         assert len(cache) == 0
 
+    def test_clear_removes_staging_debris(self, cache):
+        # A writer killed between staging and the atomic rename leaves
+        # a staging file that no lookup ever reads or replaces.
+        cache.put(KEY, 1)
+        debris = cache.directory / f"{STAGING_PREFIX}x1y2z3{ENTRY_SUFFIX}.tmp"
+        debris.write_bytes(b"half an entry")
+        assert len(cache) == 1  # debris is not an entry
+        cache.clear()
+        assert sorted(cache.directory.iterdir()) == []
+
     def test_malformed_key_rejected(self, cache):
         for bad in ("", "../escape", "a/b", "a\\b"):
             with pytest.raises(ValueError):
@@ -76,6 +92,14 @@ class TestFailurePolicy:
         with pytest.raises(ValueError):
             cache.put(KEY, failure)
         assert len(cache) == 0
+
+    def test_quarantined_failure_round_trips(self, cache):
+        failure = JobFailure.from_quarantine(
+            3, "job", FAILURE_KIND_TIMEOUT, "hung past its deadline"
+        ).with_coords({"channels": 2})
+        cache.put(KEY, failure, coords={"channels": 2})
+        assert cache.get(KEY) == failure
+        assert cache.get(KEY).quarantined
 
     def test_unwritable_directory_degrades_to_warning(self, tmp_path):
         target = tmp_path / "blocked"
@@ -260,6 +284,7 @@ class TestSweepIntegration:
         assert report.cached == 0
 
     def test_failed_points_never_cached(self, tmp_path):
+        # A deterministic error is never stored (only quarantines are).
         cache = ResultCache(tmp_path / "cache")
         with faults.injected(faults.FaultPlan(site="sweep", index=0, once=False)):
             report = sweep_use_case(
@@ -354,41 +379,3 @@ class TestSweepIntegration:
         assert counters["cache.hits"] == 2
         assert counters["cache.misses"] == 0
         assert counters["sweep.points_cached"] == 2
-
-    def test_checkpoint_and_cache_enrich_each_other(self, tmp_path):
-        from repro.resilience import SweepCheckpoint
-
-        cache = ResultCache(tmp_path / "cache")
-        checkpoint = tmp_path / "sweep.ckpt"
-        # Warm the checkpoint only.
-        sweep_use_case(
-            self.LEVELS, self.CONFIGS, scale=SCALE, checkpoint=checkpoint
-        )
-        assert len(SweepCheckpoint(checkpoint)) == 2
-        # Resuming with a cache attached copies the checkpointed
-        # points into the cache...
-        report = sweep_use_case(
-            self.LEVELS,
-            self.CONFIGS,
-            scale=SCALE,
-            checkpoint=checkpoint,
-            cache=cache,
-        )
-        assert report.resumed == 2
-        assert len(cache) == 2
-        # ...and a cache-only run is now fully warm.
-        report = sweep_use_case(
-            self.LEVELS, self.CONFIGS, scale=SCALE, cache=cache
-        )
-        assert report.cached == 2
-        # Conversely, cache hits are recorded into a fresh checkpoint.
-        fresh_ckpt = tmp_path / "fresh.ckpt"
-        report = sweep_use_case(
-            self.LEVELS,
-            self.CONFIGS,
-            scale=SCALE,
-            checkpoint=fresh_ckpt,
-            cache=cache,
-        )
-        assert report.cached == 2
-        assert len(SweepCheckpoint(fresh_ckpt)) == 2

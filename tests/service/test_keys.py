@@ -12,6 +12,7 @@ import pytest
 from repro.analysis.sweep import (
     _job_description,
     job_keys,
+    point_description,
     point_key,
     simulate_use_case,
 )
@@ -29,7 +30,6 @@ from repro.keys import (
     canonical_key,
     canonical_payload,
 )
-from repro.resilience.checkpoint import SweepCheckpoint
 from repro.usecase.levels import level_by_name
 
 
@@ -177,9 +177,20 @@ class TestJobKeys:
         assert description["backend"] == "batch"
         assert "index" not in description
 
-    def test_checkpoint_key_is_canonical_key(self):
-        description = _job_description(self._job(0, SystemConfig(channels=2)))
-        assert SweepCheckpoint.key_for(description) == canonical_key(description)
+    def test_point_key_is_canonical_key(self):
+        level = level_by_name("4")
+        config = SystemConfig(channels=2, backend="batch")
+        assert point_key(level, config, chunk_budget=20_000) == canonical_key(
+            point_description(level, config, chunk_budget=20_000)
+        )
+
+    def test_paper_point_key_is_pinned(self):
+        # The store's entries are named by this key: a change here
+        # cools every existing result cache.
+        config = SystemConfig(channels=4, freq_mhz=400.0, backend="batch")
+        assert point_key(level_by_name("4"), config, chunk_budget=20_000) == (
+            "122857ff2af4a7276b2b46ecd9cf96c57deff81eea9dd3422841d08c6f1ee49c"
+        )
 
     def test_workloads_never_alias(self):
         """The same grid point under two different workloads must map

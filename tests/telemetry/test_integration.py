@@ -14,8 +14,10 @@ import json
 
 import pytest
 
-from repro.analysis.sweep import simulate_use_case, sweep_use_case
+from repro.analysis.sweep import point_key, simulate_use_case, sweep_use_case
 from repro.core.config import SystemConfig
+from repro.resilience.report import FAILURE_KIND_TIMEOUT, JobFailure
+from repro.service.cache import ResultCache
 from repro.telemetry import (
     CallbackProgressSink,
     Telemetry,
@@ -28,6 +30,17 @@ from repro.usecase.levels import level_by_name
 LEVEL = level_by_name("3.1")
 CONFIG = SystemConfig(channels=2, freq_mhz=400.0)
 SCALE = 0.01
+
+
+def plant_quarantine(cache_dir, config):
+    """Store a negative entry for (LEVEL, ``config``), as a sweep that
+    quarantined the point would have."""
+    ResultCache(cache_dir).put(
+        point_key(LEVEL, config, scale=SCALE),
+        JobFailure.from_quarantine(
+            0, "job", FAILURE_KIND_TIMEOUT, "hung past its deadline"
+        ),
+    )
 
 
 class TestPointTelemetry:
@@ -132,15 +145,17 @@ class TestSweepTelemetry:
         assert events[0].coords["level"] == LEVEL.name
 
     def test_sweep_resume_reports_resumed_points(self, tmp_path):
-        checkpoint = tmp_path / "sweep.ckpt"
-        sweep_use_case([LEVEL], [CONFIG], scale=SCALE, checkpoint=checkpoint)
+        cache_dir = tmp_path / "cache"
+        plant_quarantine(cache_dir, CONFIG)
         telemetry = Telemetry.enabled()
         events = []
         sweep_use_case(
             [LEVEL],
             [CONFIG],
             scale=SCALE,
-            checkpoint=checkpoint,
+            cache=cache_dir,
+            resume=True,
+            strict=False,
             telemetry=telemetry,
             progress=CallbackProgressSink(events.append),
         )
@@ -148,7 +163,7 @@ class TestSweepTelemetry:
         assert counters["sweep.points_resumed"] == 1
         assert counters["sweep.points_completed"] == 0
         # Warm-start announcement: everything already accounted for.
-        assert events[0].resumed == 1
+        assert events[0].stored == 1
         assert events[0].finished
 
     def test_first_interval_excludes_resume_scan_and_setup(
@@ -156,36 +171,36 @@ class TestSweepTelemetry:
     ):
         # The first ``sweep.point_interval_seconds`` sample must
         # measure point throughput from dispatch start, not absorb the
-        # checkpoint resume scan or pool setup done before dispatch.
+        # store lookups or pool setup done before dispatch.
         # Fake clock: frozen except where the wrappers below advance
         # it, so any pre-dispatch second billed to a point is visible.
         import time as time_module
 
         from repro.analysis import sweep as sweep_module
-        from repro.resilience.checkpoint import SweepCheckpoint
 
-        checkpoint = tmp_path / "sweep.ckpt"
+        cache_dir = tmp_path / "cache"
         sweep_use_case(
             [LEVEL],
             [CONFIG, CONFIG.with_frequency(200.0)],
             scale=SCALE,
-            checkpoint=checkpoint,
+            cache=cache_dir,
         )
         # Drop one point so the resumed sweep still computes work (a
         # fully warm sweep records no interval samples at all).
-        lines = checkpoint.read_text().splitlines()
-        checkpoint.write_text("\n".join(lines[:1]) + "\n")
+        ResultCache(cache_dir).entry_path(
+            point_key(LEVEL, CONFIG.with_frequency(200.0), scale=SCALE)
+        ).unlink()
 
         clock = [1000.0]
         monkeypatch.setattr(time_module, "monotonic", lambda: clock[0])
 
-        real_load = SweepCheckpoint.load
+        real_get = ResultCache.get
 
-        def slow_load(self):
-            clock[0] += 100.0  # pretend the resume scan took 100 s
-            return real_load(self)
+        def slow_get(self, key):
+            clock[0] += 100.0  # pretend each store lookup took 100 s
+            return real_get(self, key)
 
-        monkeypatch.setattr(SweepCheckpoint, "load", slow_load)
+        monkeypatch.setattr(ResultCache, "get", slow_get)
 
         real_resolve = sweep_module.resolve_workers
 
@@ -200,11 +215,11 @@ class TestSweepTelemetry:
             [LEVEL],
             [CONFIG, CONFIG.with_frequency(200.0)],
             scale=SCALE,
-            checkpoint=checkpoint,
+            cache=cache_dir,
             telemetry=telemetry,
         )
         stats = telemetry.registry.as_dict()
-        assert stats["counters"]["sweep.points_resumed"] == 1
+        assert stats["counters"]["sweep.points_cached"] == 1
         intervals = stats["histograms"]["sweep.point_interval_seconds"]
         assert intervals["count"] == 1
         assert intervals["max"] < 50.0
@@ -216,3 +231,56 @@ class TestSweepTelemetry:
         )
         assert plain[0].result.channels == tapped[0].result.channels
         assert plain[0].power == tapped[0].power
+
+
+class TestProgressFromStore:
+    """Points served from the store count as done from the first
+    heartbeat, and restored quarantines are not counted twice."""
+
+    CONFIGS = [CONFIG, CONFIG.with_frequency(200.0)]
+
+    def sweep(self, cache_dir, **kwargs):
+        events = []
+        report = sweep_use_case(
+            [LEVEL],
+            self.CONFIGS,
+            scale=SCALE,
+            cache=cache_dir,
+            progress=CallbackProgressSink(events.append),
+            **kwargs,
+        )
+        return report, events
+
+    def test_warm_sweep_reports_every_point_done(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        self.sweep(cache_dir)
+        report, events = self.sweep(cache_dir)
+        assert report.summary() == "2/2 points completed, 2 served from cache"
+        assert [(e.done, e.total) for e in events] == [(2, 2)]
+        assert events[0].finished
+        assert events[0].stored == 2
+        assert events[0].describe().startswith("sweep 2/2 (100 %), 2 stored")
+
+    def test_half_warm_sweep_starts_from_the_stored_point(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        sweep_use_case([LEVEL], [CONFIG], scale=SCALE, cache=cache_dir)
+        report, events = self.sweep(cache_dir)
+        assert report.cached == 1 and report.ok
+        assert [e.done for e in events] == [1, 2]
+        assert not events[0].finished
+        assert events[-1].finished
+        assert [e.stored for e in events] == [1, 1]
+
+    def test_resumed_quarantine_counted_once(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        sweep_use_case([LEVEL], [CONFIG], scale=SCALE, cache=cache_dir)
+        plant_quarantine(cache_dir, self.CONFIGS[1])
+        report, events = self.sweep(cache_dir, resume=True, strict=False)
+        assert report.cached == 1
+        assert report.resumed == 1
+        assert len(report.failures) == 1
+        # One warm-start event closes the sweep: the restored failure
+        # is not added again when the sweep finishes.
+        assert [(e.done, e.failed) for e in events] == [(2, 0)]
+        assert events[0].finished
+        assert events[0].stored == 2

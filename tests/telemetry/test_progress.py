@@ -38,7 +38,7 @@ def collect(tracker_kwargs, actions):
 class TestProgressEvent:
     def test_fraction_and_finished(self):
         event = ProgressEvent(
-            done=3, total=4, failed=0, resumed=0, elapsed_s=1.0, eta_s=2.0
+            done=3, total=4, failed=0, stored=0, elapsed_s=1.0, eta_s=2.0
         )
         assert event.fraction == pytest.approx(0.75)
         assert not event.finished
@@ -47,17 +47,17 @@ class TestProgressEvent:
 
     def test_finished_describe_reports_elapsed(self):
         event = ProgressEvent(
-            done=4, total=4, failed=1, resumed=2, elapsed_s=9.0, eta_s=None
+            done=4, total=4, failed=1, stored=2, elapsed_s=9.0, eta_s=None
         )
         assert event.finished
         text = event.describe()
         assert "done in 9.0 s" in text
         assert "1 failed" in text
-        assert "2 resumed" in text
+        assert "2 stored" in text
 
     def test_zero_total_fraction(self):
         event = ProgressEvent(
-            done=0, total=0, failed=0, resumed=0, elapsed_s=0.0, eta_s=None
+            done=0, total=0, failed=0, stored=0, elapsed_s=0.0, eta_s=None
         )
         assert event.fraction == 1.0
 
@@ -90,12 +90,12 @@ class TestSweepProgress:
             clock.advance(2.0)
             tracker.point_done()
 
-        events = collect(dict(total=10, resumed=8), actions)
+        events = collect(dict(total=10, stored=8), actions)
         # Warm-start announcement first, with no rate yet.
         assert events[0].done == 8
         assert events[0].eta_s is None
         # One *computed* point in 2 s -> 1 remaining -> 2 s, not the
-        # absurd 9-points-in-0-s a resumed-inclusive rate would claim.
+        # absurd 9-points-in-0-s a store-inclusive rate would claim.
         assert events[1].eta_s == pytest.approx(2.0)
 
     def test_finish_skipped_when_last_point_already_reported(self):
@@ -120,7 +120,7 @@ class TestSweepProgress:
 class TestStreamProgressSink:
     def make_event(self, done, total=10):
         return ProgressEvent(
-            done=done, total=total, failed=0, resumed=0, elapsed_s=1.0, eta_s=None
+            done=done, total=total, failed=0, stored=0, elapsed_s=1.0, eta_s=None
         )
 
     def test_rate_limits_intermediate_events(self):
@@ -150,6 +150,6 @@ class TestNullSink:
         sink = NullProgressSink()
         sink.emit(
             ProgressEvent(
-                done=1, total=2, failed=0, resumed=0, elapsed_s=0.0, eta_s=None
+                done=1, total=2, failed=0, stored=0, elapsed_s=0.0, eta_s=None
             )
         )  # must simply not raise

@@ -135,7 +135,7 @@ def _simulation_counts(mark_dir, values):
 class TestCallbackSemantics:
     """A raising ``on_result``/``on_failure`` is a *caller* error.
 
-    The trap this guards: a checkpoint append failing with ``OSError``
+    The trap this guards: a result-cache write failing with ``OSError``
     -- which is also a pool-error type -- must abort the map as the
     caller's exception, never be retried as a "transient pool failure"
     that re-simulates jobs whose results were already delivered.
