@@ -33,7 +33,7 @@ import warnings
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.analysis.realtime import RealTimeVerdict, realtime_verdict
 from repro.controller.request import MasterTransaction
@@ -363,21 +363,23 @@ def _serve_stored(
     keys: Sequence[str],
     cache: Optional[ResultCache],
     resume: bool,
-) -> Tuple[List[Optional[SweepPoint]], int, List[JobFailure], List[int]]:
+) -> Tuple[List[Optional[SweepPoint]], int, List[JobFailure], List[int], Set[int]]:
     """Serve what the store holds before dispatching anything.
 
-    Returns ``(results, cached, restored, pending_positions)``.  A
-    stored point is always served.  A negative entry (a point an
-    earlier run quarantined) is served as its recorded failure only
-    under ``resume``; otherwise it is a silent miss, so the point is
-    retried and its new outcome overwrites the entry.
+    Returns ``(results, cached, restored, pending_positions,
+    quarantined_positions)``.  A stored point is always served.  A
+    negative entry (a point an earlier run quarantined) is served as
+    its recorded failure only under ``resume``; otherwise it is a
+    silent miss, so the point is retried and its new outcome replaces
+    the entry; ``quarantined_positions`` names those retried points.
     """
     results: List[Optional[SweepPoint]] = [None] * len(jobs)
     if cache is None:
-        return results, 0, [], list(range(len(jobs)))
+        return results, 0, [], list(range(len(jobs))), set()
     cached = 0
     restored: List[JobFailure] = []
     pending_positions: List[int] = []
+    quarantined_positions: Set[int] = set()
     for position, key in enumerate(keys):
         hit = cache.get(key)
         if isinstance(hit, SweepPoint):
@@ -388,7 +390,9 @@ def _serve_stored(
                 replace(hit, index=position, coords=_job_coords(jobs[position]))
             )
         else:
-            if hit is not None and not isinstance(hit, JobFailure):
+            if isinstance(hit, JobFailure):
+                quarantined_positions.add(position)
+            elif hit is not None:
                 warnings.warn(
                     CacheWarning(
                         f"cache entry {key[:12]}... holds a "
@@ -397,7 +401,7 @@ def _serve_stored(
                     stacklevel=3,
                 )
             pending_positions.append(position)
-    return results, cached, restored, pending_positions
+    return results, cached, restored, pending_positions, quarantined_positions
 
 
 def sweep_use_case(
@@ -416,6 +420,8 @@ def sweep_use_case(
     cache: Optional[Union[str, Path, ResultCache]] = None,
     workload: WorkloadLike = None,
     resume: bool = False,
+    *,
+    _keys: Optional[Sequence[str]] = None,
 ) -> SweepReport:
     """Cartesian sweep of levels x configurations.
 
@@ -472,7 +478,8 @@ def sweep_use_case(
     never hangs on the same point again.  Without it a negative entry
     is a miss: the point is retried and its new outcome overwrites the
     entry.  Deterministic errors are never stored, so they are always
-    recomputed.
+    recomputed: a retried point that ends in one has its negative entry
+    removed, and a later resume recomputes it.
 
     ``progress`` receives a heartbeat per completed point (and a final
     summary) as :class:`~repro.telemetry.ProgressEvent`\\ s with
@@ -486,6 +493,11 @@ def sweep_use_case(
     The report is a drop-in :class:`~collections.abc.Sequence` of the
     successful :class:`SweepPoint`\\ s, so callers that treat the
     result as a list keep working.
+
+    ``_keys`` is the feasibility oracle's private path: the points'
+    canonical keys in job order, already computed by the caller (which
+    must compute them exactly as :func:`job_keys` would), so a one-point
+    sweep does not project its whole configuration again.
     """
     if not levels or not configs:
         raise ConfigurationError("sweep needs at least one level and one config")
@@ -502,10 +514,13 @@ def sweep_use_case(
     ]
 
     cache_store = resolve_cache(cache)
-    keys = job_keys(jobs) if cache_store is not None else []
+    if cache_store is None:
+        keys: Sequence[str] = []
+    else:
+        keys = _keys if _keys is not None else job_keys(jobs)
     cache_before = cache_store.stats() if cache_store is not None else {}
-    results, cache_hits, restored, pending_positions = _serve_stored(
-        jobs, keys, cache_store, resume
+    results, cache_hits, restored, pending_positions, quarantined_positions = (
+        _serve_stored(jobs, keys, cache_store, resume)
     )
     pending_jobs = [jobs[position] for position in pending_positions]
 
@@ -566,12 +581,16 @@ def sweep_use_case(
     if cache_store is not None:
 
         def on_failure(local_index: int, failure: JobFailure) -> None:
+            position = pending_positions[local_index]
             if not failure.quarantined:
                 # Deterministic errors are recomputed by the next run
                 # (the bug might be fixed by then); only quarantines --
-                # the points that would re-hang -- are stored.
+                # the points that would re-hang -- are stored.  A stale
+                # quarantine of this point goes, or a resume would
+                # serve it in place of this error.
+                if position in quarantined_positions:
+                    cache_store.discard(keys[position])
                 return
-            position = pending_positions[local_index]
             coords = _job_coords(jobs[position])
             cache_store.put(
                 keys[position],

@@ -87,6 +87,12 @@ class ChannelSimulator(abc.ABC):
         audits and the channel-pool job come through here.
         """
 
+    #: Whether :meth:`run_trusted` takes a keyword-only ``runs_digest``
+    #: (:func:`~repro.controller.engine.runs_digest` of its runs), which
+    #: :meth:`~repro.core.system.MultiChannelMemorySystem.run_split`
+    #: then hands it from the split, hashed once per channel.
+    takes_runs_digest: bool = False
+
     def run_trusted(
         self,
         runs: "ChannelRuns",

@@ -54,14 +54,17 @@ protocol audits and closed-page studies behave identically to
 
 from __future__ import annotations
 
-import hashlib
-import marshal
 from collections import OrderedDict
 from typing import Optional
 
 from repro.backends.base import ChannelBackend
 from repro.backends.reference import build_engine
-from repro.controller.engine import ChannelEngine, ChannelResult, ChannelRuns
+from repro.controller.engine import (
+    ChannelEngine,
+    ChannelResult,
+    ChannelRuns,
+    runs_digest,
+)
 from repro.controller.interconnect import OVERHEAD_SCALE, OVERHEAD_SHIFT
 from repro.core.config import SystemConfig
 from repro.dram.commands import CommandCounters, StateDurations
@@ -78,7 +81,7 @@ MIN_BATCH = 4
 DECODE_CACHE_SIZE = 32
 
 #: Content-keyed LRU: (runs digest, run count, mapping params) ->
-#: _DecodedStream (see :func:`_runs_digest`).
+#: _DecodedStream (see :func:`~repro.controller.engine.runs_digest`).
 _DECODE_CACHE: "OrderedDict[tuple, _DecodedStream]" = OrderedDict()
 _CACHE_STATS = {
     "hits": 0,
@@ -178,33 +181,18 @@ def _decode_stream(runs: ChannelRuns, mapping) -> _DecodedStream:
     return _DecodedStream(segments, n_rd, n_wr, tuple(bank_counts))
 
 
-def _runs_digest(runs: ChannelRuns) -> bytes:
-    """SHA-256 of the run values, independent of object sharing.
-
-    ``marshal`` format 2 writes every int by value; format 3 and later
-    write back-references to objects seen before, so two equal run
-    lists whose large ints are shared differently would serialise
-    differently.  A raw run tuple may carry an ``int`` subclass (an
-    :class:`~repro.controller.request.Op` member), which ``marshal``
-    rejects; such runs are keyed by their plain ``int`` values.
-    """
-    try:
-        blob = marshal.dumps(runs, 2)
-    except ValueError:
-        blob = marshal.dumps(tuple(tuple(map(int, run)) for run in runs), 2)
-    return hashlib.sha256(blob).digest()
-
-
-def _decode_cached(runs: ChannelRuns, mapping) -> _DecodedStream:
+def _decode_cached(
+    runs: ChannelRuns, mapping, digest: Optional[bytes] = None
+) -> _DecodedStream:
     """LRU-cached decode, keyed by run content + mapping parameters.
 
-    The key holds a digest of the runs, not the runs tuple itself, so
-    a cached segment table pins no split: once a sweep drops its
-    shared traffic, the run tuples are freed even while their decodes
-    stay cached.
+    The key holds a digest of the runs (``digest`` when the caller
+    already has it), not the runs tuple itself, so a cached segment
+    table pins no split: once a sweep drops its shared traffic, the
+    run tuples are freed even while their decodes stay cached.
     """
     key = (
-        _runs_digest(runs),
+        digest if digest is not None else runs_digest(runs),
         len(runs),
         mapping.bank_shift,
         mapping.bank_mask,
@@ -232,10 +220,14 @@ def _decode_cached(runs: ChannelRuns, mapping) -> _DecodedStream:
 class BatchChannelEngine(ChannelEngine):
     """Reference timing algebra over a cached segment decode."""
 
+    takes_runs_digest = True
+
     def run_trusted(
         self,
         runs: ChannelRuns,
         command_log: Optional[list] = None,
+        *,
+        runs_digest: Optional[bytes] = None,
     ) -> ChannelResult:
         """Bit-identical to :meth:`ChannelEngine.run_trusted`, an order
         of magnitude faster on streaming traffic.
@@ -246,7 +238,9 @@ class BatchChannelEngine(ChannelEngine):
         :class:`~repro.core.system.ChannelSplit` is checked once when
         it is made), and it keys the decode cache by a digest of its
         values: every clock of a shared split hits the decode of its
-        first clock.
+        first clock.  ``runs_digest`` is that digest when the caller
+        holds it (a split hashes each channel once for all its
+        clocks); without it the runs are hashed here.
 
         The stepped branch is the reference engine's loop body, kept
         textually in sync; the batch branch is that body's closed form
@@ -261,7 +255,7 @@ class BatchChannelEngine(ChannelEngine):
         if not self.page_policy.keeps_rows_open:
             return ChannelEngine.run_trusted(self, runs, command_log)
 
-        decoded = _decode_cached(runs, self.mapping)
+        decoded = _decode_cached(runs, self.mapping, runs_digest)
 
         timing = self.timing
         cas = timing.cas_latency

@@ -40,6 +40,8 @@ Scheduling model
 
 from __future__ import annotations
 
+import hashlib
+import marshal
 from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple, Union
 
@@ -120,6 +122,27 @@ def check_runs(runs: Iterable[RunLike], max_chunk: int) -> ChannelRuns:
             )
         append((op, start, count, arrival))
     return tuple(out)
+
+
+def runs_digest(runs: ChannelRuns) -> bytes:
+    """SHA-256 of the run values, independent of object sharing.
+
+    The batch backend keys its decode cache by it, and a checked
+    :class:`~repro.core.system.ChannelSplit` holds it per channel so
+    that the clocks sharing the split hash each channel once.
+
+    ``marshal`` format 2 writes every int by value; format 3 and later
+    write back-references to objects seen before, so two equal run
+    lists whose large ints are shared differently would serialise
+    differently.  A raw run tuple may carry an ``int`` subclass (an
+    :class:`~repro.controller.request.Op` member), which ``marshal``
+    rejects; such runs are keyed by their plain ``int`` values.
+    """
+    try:
+        blob = marshal.dumps(runs, 2)
+    except ValueError:
+        blob = marshal.dumps(tuple(tuple(map(int, run)) for run in runs), 2)
+    return hashlib.sha256(blob).digest()
 
 
 @dataclass

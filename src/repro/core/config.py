@@ -65,6 +65,11 @@ class SystemConfig:
     check_invariants: bool = False
 
     def __post_init__(self) -> None:
+        # True equals 1 but keys as JSON ``true``; 2.0 is no count at all.
+        if isinstance(self.channels, bool) or not isinstance(self.channels, int):
+            raise ConfigurationError(
+                f"channel count must be an int, got {self.channels!r}"
+            )
         if self.channels < 1 or self.channels > 64:
             raise ConfigurationError(
                 f"channel count must be in [1, 64], got {self.channels}"

@@ -25,7 +25,12 @@ from __future__ import annotations
 
 from typing import Iterable, List, NamedTuple, Optional, Tuple
 
-from repro.controller.engine import ChannelResult, ChannelRuns, check_runs
+from repro.controller.engine import (
+    ChannelResult,
+    ChannelRuns,
+    check_runs,
+    runs_digest,
+)
 from repro.controller.request import CHUNK_SHIFT, MasterTransaction
 from repro.core.channel import Channel
 from repro.core.config import SystemConfig
@@ -73,7 +78,17 @@ class _CheckedSplit(ChannelSplit):
             chunks,
         )
         self.max_chunk = max_chunk
+        self._digests = [None] * len(self.runs)
         return self
+
+    def runs_digest(self, channel: int) -> bytes:
+        """:func:`~repro.controller.engine.runs_digest` of one channel's
+        runs, hashed on first use and then held with the split, so the
+        clocks that share the split hash each channel once."""
+        digest = self._digests[channel]
+        if digest is None:
+            digest = self._digests[channel] = runs_digest(self.runs[channel])
+        return digest
 
     def __getnewargs__(self):
         return (*self, self.max_chunk)
@@ -244,11 +259,12 @@ class MultiChannelMemorySystem:
         The channels are simulated one after another, in this
         process.  A split from :meth:`split` was checked when it was
         made, so its runs go to each channel's ``run_trusted`` as they
-        are.  A split built by hand (or checked against a larger
-        channel) is checked here first, with the same typed errors as
-        :meth:`Channel.run <repro.core.channel.Channel.run>`.  The
-        audit path (``command_logs``) goes through the validating
-        ``Channel.run``.
+        are, with the split's digest of them for a simulator that keys
+        runs by it (``takes_runs_digest``).  A split built by hand (or
+        checked against a larger channel) is checked here first, with
+        the same typed errors as :meth:`Channel.run
+        <repro.core.channel.Channel.run>`.  The audit path
+        (``command_logs``) goes through the validating ``Channel.run``.
         """
         if len(split.runs) != self.config.channels:
             raise ConfigurationError(
@@ -263,8 +279,14 @@ class MultiChannelMemorySystem:
 
             def simulate() -> List[ChannelResult]:
                 return [
-                    channel.simulator.run_trusted(runs)
-                    for channel, runs in zip(self.channels, per_channel)
+                    channel.simulator.run_trusted(
+                        runs, runs_digest=split.runs_digest(index)
+                    )
+                    if getattr(channel.simulator, "takes_runs_digest", False)
+                    else channel.simulator.run_trusted(runs)
+                    for index, (channel, runs) in enumerate(
+                        zip(self.channels, per_channel)
+                    )
                 ]
 
         else:

@@ -43,6 +43,7 @@ from typing import (
     Union,
 )
 
+import repro.keys as canonical_keys
 from repro.analysis.realtime import (
     PAPER_MARGIN,
     RealTimeVerdict,
@@ -78,6 +79,10 @@ DEFAULT_ACCURACY = 0.15
 #: bit-identical to ``reference``, so a surface only ever interpolates
 #: between exact values.
 EXACT_BACKENDS: Tuple[str, ...] = ("reference", "batch")
+
+#: Point keys one oracle keeps (first in, first out past the bound), so
+#: a stream of ever-new off-grid clocks cannot grow the memo forever.
+POINT_KEY_MEMO_SIZE = 4096
 
 #: Telemetry counters the oracle exports (pre-registered at zero so a
 #: metrics dump shows them even before the first query).
@@ -210,6 +215,7 @@ class FeasibilityOracle:
         self.probe_channels = tuple(probe_channels)
         self.probe_freqs = tuple(probe_freqs)
         self._surfaces: Dict[tuple, SurrogateSurface] = {}
+        self._point_keys: Dict[tuple, str] = {}
         if telemetry is not None:
             for name in _COUNTERS:
                 telemetry.registry.counter(name).add(0)
@@ -224,32 +230,13 @@ class FeasibilityOracle:
         hit = self.cache.get(key)
         return hit if isinstance(hit, SweepPoint) else None
 
-    def surface_for(
-        self, level: H264Level, workload: WorkloadLike = None
-    ) -> SurrogateSurface:
-        """The (memoized) surrogate surface of one (level, workload).
-
-        Built by *probing*: for every grid point and every exact
-        backend, the point's canonical key -- the same
-        :func:`~repro.analysis.sweep.point_key` a sweep files it
-        under, workload identity included -- is looked up in the
-        attached cache.  No directory scanning, so a cache shared
-        across workloads can never leak foreign points onto a surface.
-
-        Built surfaces are filed in memory under a plain tuple of the
+    def _context(self, level: H264Level, bound: BoundWorkload) -> tuple:
+        """The plain tuple a (level, workload) is filed under: the
         level, the workload's name, resolved parameters and
-        :meth:`~repro.workloads.spec.WorkloadSpec.structure_digest`
-        (stored on the spec after its first call), and this oracle's
-        scale, chunk budget and block size: the fields a canonical
-        key would hash, compared by value, so a warm query hashes a
-        few small objects instead of serialising the workload.
-        """
-        bound = (
-            workload
-            if isinstance(workload, BoundWorkload)
-            else resolve_workload(workload)
-        )
-        surface_key = (
+        :meth:`~repro.workloads.spec.WorkloadSpec.structure_digest`, and
+        this oracle's scale, chunk budget and block size -- the fields a
+        canonical key would hash, compared by value."""
+        return (
             level,
             bound.name,
             bound.params,
@@ -258,7 +245,72 @@ class FeasibilityOracle:
             self.chunk_budget,
             self.block_bytes,
         )
-        surface = self._surfaces.get(surface_key)
+
+    def _point_key(
+        self,
+        context: tuple,
+        level: H264Level,
+        config: SystemConfig,
+        bound: BoundWorkload,
+    ) -> str:
+        """The canonical :func:`~repro.analysis.sweep.point_key` of one
+        of this oracle's points, computed once per process.
+
+        Every config the oracle builds is the default
+        :class:`~repro.core.config.SystemConfig` apart from its channel
+        count, clock and backend, so those three fields, ``context``
+        (:meth:`_context` of ``level`` and ``bound``) and the call-time
+        :data:`repro.keys.ENGINE_VERSION` name the key: a repeated
+        point hashes a small tuple instead of projecting its whole
+        config, and a runtime version bump re-keys.
+        """
+        memo_key = (
+            context,
+            config.channels,
+            config.freq_mhz,
+            config.backend,
+            canonical_keys.ENGINE_VERSION,
+        )
+        key = self._point_keys.get(memo_key)
+        if key is None:
+            key = point_key(
+                level,
+                config,
+                scale=self.scale,
+                chunk_budget=self.chunk_budget,
+                block_bytes=self.block_bytes,
+                workload=bound,
+            )
+            if len(self._point_keys) >= POINT_KEY_MEMO_SIZE:
+                del self._point_keys[next(iter(self._point_keys))]
+            self._point_keys[memo_key] = key
+        return key
+
+    def surface_for(
+        self, level: H264Level, workload: WorkloadLike = None
+    ) -> SurrogateSurface:
+        """The (memoized) surrogate surface of one (level, workload).
+
+        Built by *probing*: for every grid point and every exact
+        backend, the point's canonical key -- the same
+        :func:`~repro.analysis.sweep.point_key` a sweep files it
+        under, workload identity included, got through
+        :meth:`_point_key` -- is looked up in the attached cache.  No
+        directory scanning, so a cache shared across workloads can
+        never leak foreign points onto a surface.
+
+        Built surfaces are filed in memory under the :meth:`_context`
+        tuple (the workload's structure digest is stored on the spec
+        after its first call), so a warm query hashes a few small
+        objects instead of serialising the workload.
+        """
+        bound = (
+            workload
+            if isinstance(workload, BoundWorkload)
+            else resolve_workload(workload)
+        )
+        context = self._context(level, bound)
+        surface = self._surfaces.get(context)
         if surface is not None:
             return surface
         surface = SurrogateSurface()
@@ -267,19 +319,14 @@ class FeasibilityOracle:
                 base = SystemConfig(channels=channels, freq_mhz=freq)
                 for backend in EXACT_BACKENDS:
                     point = self._lookup(
-                        point_key(
-                            level,
-                            base.with_backend(backend),
-                            scale=self.scale,
-                            chunk_budget=self.chunk_budget,
-                            block_bytes=self.block_bytes,
-                            workload=bound,
+                        self._point_key(
+                            context, level, base.with_backend(backend), bound
                         )
                     )
                     if point is not None:
                         surface.insert(point)
                         break
-        self._surfaces[surface_key] = surface
+        self._surfaces[context] = surface
         return surface
 
     def warm(self, level: H264Level, workload: WorkloadLike = None) -> int:
@@ -405,8 +452,16 @@ class FeasibilityOracle:
         Going through :func:`~repro.analysis.sweep.sweep_use_case`
         (rather than ``simulate_use_case``) keeps the exact tier
         bit-identical to a sweep *by construction* and gives analytic
-        and exact answers the cache fold-in/out for free.
+        and exact answers the cache fold-in/out for free.  The point's
+        key comes from :meth:`_point_key` and rides into the sweep, so
+        a stored answer costs one store read, not a re-projection of
+        the whole config.
         """
+        keys = None
+        if self.cache is not None:
+            keys = [
+                self._point_key(self._context(level, bound), level, config, bound)
+            ]
         report = sweep_use_case(
             [level],
             [config],
@@ -416,6 +471,7 @@ class FeasibilityOracle:
             cache=self.cache,
             workload=bound,
             telemetry=self.telemetry,
+            _keys=keys,
         )
         return report[0]
 

@@ -40,6 +40,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.controller.mapping import AddressMultiplexing
 from repro.controller.pagepolicy import PagePolicy
+from repro.controller.queue import CommandQueueModel
 from repro.controller.request import MasterTransaction, Op
 from repro.core.config import SystemConfig
 from repro.core.results import SimulationResult
@@ -111,6 +112,13 @@ FUZZ_FREQUENCIES_MHZ = (200.0, 266.0, 333.0, 400.0, 466.0, 533.0)
 #: Channel counts sampled (the paper's plus the 16-wide extrapolation).
 FUZZ_CHANNELS = (1, 2, 4, 8, 16)
 
+#: Command-queue depths sampled; the analytic screening runs only at
+#: the default depth (see :func:`generate_case`).
+FUZZ_QUEUE_DEPTHS = (1, 2, 4, 8)
+
+#: Queue depth of a case that names none (the model's default).
+DEFAULT_QUEUE_DEPTH = CommandQueueModel().depth
+
 #: Upper bound on per-case traffic, in 16-byte chunks, so a 100-case
 #: campaign stays interactive even on one CPU.
 MAX_CASE_CHUNKS = 2_048
@@ -142,7 +150,8 @@ class FuzzCase:
             f"{self.config.channels}ch @ {self.config.freq_mhz:g} MHz, "
             f"{self.config.multiplexing.value}, "
             f"{self.config.page_policy.value}-page, "
-            f"pd={self.config.power_down.name}"
+            f"pd={self.config.power_down.name}, "
+            f"queue={self.config.queue.depth}"
         )
 
     def repro(self) -> str:
@@ -153,7 +162,8 @@ class FuzzCase:
             f"channels={self.config.channels} freq={self.config.freq_mhz:g} "
             f"map={self.config.multiplexing.value} "
             f"page={self.config.page_policy.value} "
-            f"pd={self.config.power_down.name}"
+            f"pd={self.config.power_down.name} "
+            f"queue={self.config.queue.depth}"
         )
         body = ";".join(_txn_line(txn) for txn in self.transactions)
         return f"{head} | {body}"
@@ -187,6 +197,10 @@ def parse_repro(spec: str) -> FuzzCase:
             multiplexing=AddressMultiplexing(fields["map"]),
             page_policy=PagePolicy(fields["page"]),
             power_down=_power_down_from_name(fields["pd"]),
+            # Repro strings from before the depth was fuzzed name none.
+            queue=CommandQueueModel(
+                depth=int(fields.get("queue", DEFAULT_QUEUE_DEPTH))
+            ),
         )
         transactions = tuple(
             parse_trace_line(line.strip(), lineno=i + 1)
@@ -365,7 +379,15 @@ def generate_case(seed: int, index: int) -> FuzzCase:
         and config.page_policy.keeps_rows_open
         and case.chunks >= ANALYTIC_MIN_CHUNKS_PER_CHANNEL * config.channels
     )
-    return replace(case, streaming=streaming)
+    # The queue depth is the last draw, so every earlier draw (and so
+    # every case of a campaign apart from its depth) is what it was
+    # before the depth was fuzzed.  A screened case keeps the default
+    # depth, the regime the analytic tolerance was measured in; the
+    # others exercise the exact engines' live command-queue bound.
+    depth = rng.choice(FUZZ_QUEUE_DEPTHS)
+    if not streaming:
+        config = replace(config, queue=CommandQueueModel(depth=depth))
+    return replace(case, config=config, streaming=streaming)
 
 
 def generate_cases(seed: int, count: int) -> List[FuzzCase]:

@@ -71,6 +71,7 @@ from repro.analysis.validate import check_traffic_oracles
 from repro.backends.reference import build_engine
 from repro.controller.frfcfs import ReorderingChannelEngine
 from repro.controller.pagepolicy import PagePolicy
+from repro.controller.queue import CommandQueueModel
 from repro.core.system import MultiChannelMemorySystem
 from repro.regression.fuzzer import FuzzCase
 
@@ -198,8 +199,14 @@ def check_prefix_consistency(case: FuzzCase) -> List[InvariantViolation]:
 def check_frfcfs_degeneracy(case: FuzzCase) -> List[InvariantViolation]:
     """FR-FCFS with a one-entry window must equal the in-order engine
     on every :class:`~repro.controller.engine.ChannelResult` field, on
-    every channel (open page policy)."""
-    config = replace(case.config, page_policy=PagePolicy.OPEN)
+    every channel (open page policy).
+
+    FR-FCFS models no command queue, so it is held to the in-order
+    engine at the default queue depth (the depth of every case before
+    the fuzzer drew one), not at the depth the case draws."""
+    config = replace(
+        case.config, page_policy=PagePolicy.OPEN, queue=CommandQueueModel()
+    )
     in_order = build_engine(config)
     reordering = ReorderingChannelEngine(
         config.device,

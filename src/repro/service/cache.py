@@ -148,6 +148,19 @@ class ResultCache:
         except OSError:
             return 0
 
+    def discard(self, key: str) -> None:
+        """Delete the entry for ``key`` if there is one.
+
+        Statistics-neutral.  The sweep calls it for a negative entry
+        whose point, retried, ended in a deterministic error: that
+        error is never stored, and the old quarantine must not outlive
+        it.
+        """
+        try:
+            os.unlink(self.entry_path(key))
+        except OSError:
+            pass
+
     def clear(self) -> None:
         """Delete every entry and every staging file a killed writer
         left behind (the directory itself is kept)."""

@@ -6,7 +6,8 @@ simulator's non-validating ``run_trusted``.  Pinned here, for every
 built-in backend: that entry gives exactly what the validating
 ``Channel.run`` gives over the same runs, and batch's decode cache
 keys a shared split once per channel, by a digest that holds no run
-tuple.  The rejection of malformed runs lives in
+tuple and that the split computes once per channel for all its
+clocks.  The rejection of malformed runs lives in
 ``tests/resilience/test_faults.py``.
 """
 
@@ -17,6 +18,7 @@ from repro.analysis.sweep import sweep_use_case
 from repro.backends import batch as batch_module
 from repro.backends.base import ChannelBackend, ChannelSimulator
 from repro.backends.registry import register_backend, unregister_backend
+from repro.controller.engine import runs_digest
 from repro.controller.request import MasterTransaction, Op
 from repro.core.channel import Channel
 from repro.core.config import (
@@ -24,6 +26,7 @@ from repro.core.config import (
     PAPER_FREQUENCIES_MHZ,
     SystemConfig,
 )
+import repro.core.system as system_module
 from repro.core.system import MultiChannelMemorySystem
 from repro.load.model import VideoRecordingLoadModel
 from repro.load.pacing import pace_transactions
@@ -112,6 +115,50 @@ def test_shared_split_keys_the_decode_cache_by_its_own_runs(fresh_cache):
     )
 
 
+@pytest.mark.parametrize("stream", sorted(STREAMS))
+def test_split_digest_is_each_channels_runs_digest(stream):
+    split = MultiChannelMemorySystem(SystemConfig(channels=4)).split(
+        STREAMS[stream]()
+    )
+    assert [split.runs_digest(i) for i in range(4)] == [
+        runs_digest(runs) for runs in split.runs
+    ]
+
+
+def test_shared_split_hashes_each_channel_once(fresh_cache, monkeypatch):
+    hashed = []
+
+    def counting(runs):
+        hashed.append(runs)
+        return runs_digest(runs)
+
+    monkeypatch.setattr(batch_module, "runs_digest", counting)
+    monkeypatch.setattr(system_module, "runs_digest", counting)
+    split = MultiChannelMemorySystem(
+        SystemConfig(channels=2, backend="batch")
+    ).split(_backlogged())
+    results = [
+        MultiChannelMemorySystem(
+            SystemConfig(channels=2, freq_mhz=freq, backend="batch")
+        ).run_split(split)
+        for freq in PAPER_FREQUENCIES_MHZ
+    ]
+    assert hashed == list(split.runs)
+    # A direct run() still hashes its own runs, to the same result.
+    config = SystemConfig(
+        channels=2, freq_mhz=PAPER_FREQUENCIES_MHZ[-1], backend="batch"
+    )
+    direct = [
+        Channel(config, index=i).run(runs) for i, runs in enumerate(split.runs)
+    ]
+    assert direct == results[-1].channels
+    assert hashed == 2 * list(split.runs)
+    stats = batch_module.decode_cache_stats()
+    assert (stats["lookups"], stats["misses"]) == (
+        2 * len(PAPER_FREQUENCIES_MHZ) + 2, 2
+    )
+
+
 def test_grid_ledger_and_keys_come_from_the_splits(fresh_cache, monkeypatch):
     """The paper grid's decode ledger is unchanged, and every cached
     key is the digest of one of the sweep's split channels, holding no
@@ -134,7 +181,7 @@ def test_grid_ledger_and_keys_come_from_the_splits(fresh_cache, monkeypatch):
     assert (stats["lookups"], stats["hits"], stats["evictions"]) == (450, 375, 43)
     assert len(made) == len(PAPER_LEVELS) * len(PAPER_CHANNEL_COUNTS)
     channel_keys = {
-        batch_module._runs_digest(runs) for s in made for runs in s.runs
+        runs_digest(runs) for s in made for runs in s.runs
     }
     assert len(channel_keys) == stats["misses"]
     keys = list(batch_module._DECODE_CACHE)

@@ -35,6 +35,16 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             SystemConfig(channels=3)
 
+    @pytest.mark.parametrize("channels", [True, False, 2.0, "2", None])
+    def test_rejects_non_int_channels(self, channels):
+        # True == 1 would share the point but not the key of channels=1.
+        with pytest.raises(ConfigurationError, match="must be an int"):
+            SystemConfig(channels=channels)
+
+    def test_with_channels_rejects_bool(self):
+        with pytest.raises(ConfigurationError, match="must be an int"):
+            SystemConfig(channels=2).with_channels(True)
+
     def test_rejects_out_of_range_frequency(self):
         with pytest.raises(ConfigurationError):
             SystemConfig(freq_mhz=100.0)

@@ -4,6 +4,9 @@ import dataclasses
 
 import pytest
 
+import repro.analysis.sweep as sweep_module
+import repro.keys as keys_module
+import repro.oracle.api as api_module
 from repro.analysis.sweep import point_key, sweep_use_case
 from repro.core.config import SystemConfig
 from repro.errors import ConfigurationError
@@ -194,6 +197,86 @@ class TestQueryTiers:
         third = rebuilt.query(LEVEL, 2, 400.0, accuracy=0.0)
         assert third.tier == "exact"
         assert third.access_time_ms == first.access_time_ms
+
+
+class TestPointKeys:
+    """Each point is keyed once per oracle, under the canonical key."""
+
+    @pytest.fixture
+    def swept(self, monkeypatch):
+        """(config, keys handed over) of every sweep the oracle runs."""
+        calls = []
+        real = api_module.sweep_use_case
+
+        def recording(levels, configs, *args, **kwargs):
+            calls.append((configs[0], kwargs.get("_keys")))
+            return real(levels, configs, *args, **kwargs)
+
+        monkeypatch.setattr(api_module, "sweep_use_case", recording)
+        return calls
+
+    @pytest.mark.parametrize("workload", [None, "vvc_encoder"])
+    @pytest.mark.parametrize("exact_backend", ["batch", "reference"])
+    def test_memo_key_is_the_canonical_point_key(
+        self, tmp_path, swept, workload, exact_backend
+    ):
+        oracle = FeasibilityOracle(
+            cache=tmp_path / "cache", scale=SCALE, exact_backend=exact_backend
+        )
+        screening = oracle.query(LEVEL, 2, 300.0, workload=workload)
+        again = oracle.query(LEVEL, 2, 300.0, workload=workload)
+        exact = oracle.query(LEVEL, 2, 300.0, accuracy=0.0, workload=workload)
+        assert (screening.tier, again.tier, exact.tier) == (
+            "analytic", "analytic", "exact",
+        )
+        assert [config.backend for config, _ in swept] == [
+            "analytic", "analytic", exact_backend,
+        ]
+        for config, keys in swept:
+            assert keys == [
+                point_key(LEVEL, config, scale=SCALE, workload=workload)
+            ]
+        assert again.to_json() == screening.to_json()
+
+    def test_repeated_point_projects_its_config_once(
+        self, tmp_path, monkeypatch
+    ):
+        oracle = FeasibilityOracle(cache=tmp_path / "cache", scale=SCALE)
+        oracle.warm(LEVEL)
+        projected = []
+        real = sweep_module.canonical_key
+
+        def counting(description, *args, **kwargs):
+            projected.append(description["config"])
+            return real(description, *args, **kwargs)
+
+        monkeypatch.setattr(sweep_module, "canonical_key", counting)
+        for _ in range(3):
+            oracle.query(LEVEL, 4, 300.0)
+        assert len(projected) == 1
+        assert oracle.cache.stats()["hits"] == 2
+
+    def test_engine_version_bump_rekeys_and_misses(
+        self, tmp_path, swept, monkeypatch
+    ):
+        oracle = FeasibilityOracle(cache=tmp_path / "cache", scale=SCALE)
+        oracle.query(LEVEL, 4, 300.0)
+        oracle.query(LEVEL, 4, 300.0)
+        assert oracle.cache.stats()["hits"] == 1
+        monkeypatch.setattr(keys_module, "ENGINE_VERSION", "999-test")
+        oracle.query(LEVEL, 4, 300.0)
+        stats = oracle.cache.stats()
+        assert (stats["hits"], stats["misses"], stats["writes"]) == (1, 2, 2)
+        (_, first), _, (config, bumped) = swept
+        assert bumped != first
+        assert bumped == [point_key(LEVEL, config, scale=SCALE)]
+
+    def test_memo_is_bounded(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(api_module, "POINT_KEY_MEMO_SIZE", 2)
+        oracle = FeasibilityOracle(cache=tmp_path / "cache", scale=SCALE)
+        for freq in (300.0, 310.0, 320.0):
+            oracle.query(LEVEL, 4, freq)
+        assert [memo[2] for memo in oracle._point_keys] == [310.0, 320.0]
 
 
 class TestValidation:

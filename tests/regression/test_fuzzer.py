@@ -1,6 +1,8 @@
 """Tests for the differential fuzzer: determinism, repro strings,
 shrinking against a deliberately-wrong backend, campaign reporting."""
 
+import hashlib
+import re
 from dataclasses import replace
 
 import pytest
@@ -19,7 +21,11 @@ from repro.regression import (
     run_repro,
     shrink_case,
 )
-from repro.regression.fuzzer import TRAFFIC_KINDS
+from repro.regression.fuzzer import (
+    DEFAULT_QUEUE_DEPTH,
+    FUZZ_QUEUE_DEPTHS,
+    TRAFFIC_KINDS,
+)
 from repro.telemetry import Telemetry
 
 
@@ -46,6 +52,28 @@ class TestDeterminism:
         assert any(c.streaming for c in cases)
         assert any(not c.streaming for c in cases)
 
+    def test_campaign_samples_queue_depths(self):
+        cases = generate_cases(5, 100)
+        assert {
+            c.config.queue.depth for c in cases if not c.streaming
+        } == set(FUZZ_QUEUE_DEPTHS)
+        # Screened cases stay at the depth the analytic tolerance covers.
+        assert {c.config.queue.depth for c in cases if c.streaming} == {
+            DEFAULT_QUEUE_DEPTH
+        }
+
+    def test_queue_depth_is_the_last_draw(self):
+        # Apart from the depth, every case is the one the generator made
+        # before it drew depths (digest of seed 5's first 50 repro
+        # strings at that generator).
+        text = "\n".join(
+            re.sub(r" queue=\d+", "", generate_case(5, index).repro())
+            for index in range(50)
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "b4408af224e25e84e1a613367c1a39c1061a201a066e37596f064fecb4056c26"
+        )
+
     def test_rejects_empty_campaign(self):
         with pytest.raises(RegressionError, match="count"):
             generate_cases(0, 0)
@@ -57,6 +85,17 @@ class TestReproStrings:
             back = parse_repro(case.repro())
             assert back.config == case.config
             assert back.transactions == case.transactions
+
+    def test_round_trip_carries_queue_depth(self):
+        case = next(
+            c for c in generate_cases(5, 20) if c.config.queue.depth != 8
+        )
+        assert f" queue={case.config.queue.depth} |" in case.repro()
+        assert parse_repro(case.repro()).config == case.config
+
+    def test_repro_without_queue_replays_at_default_depth(self):
+        case = parse_repro("channels=2 freq=400 map=rbc page=open pd=never | R 0x0 64")
+        assert case.config.queue.depth == DEFAULT_QUEUE_DEPTH == 8
 
     def test_round_trip_preserves_float_arrivals(self):
         case = generate_case(5, 0)

@@ -23,7 +23,12 @@ from repro.analysis.sweep import (
 )
 from repro.core.config import SystemConfig
 from repro.errors import ConfigurationError
-from repro.resilience.report import FAILURE_KIND_TIMEOUT, JobFailure
+from repro.resilience import faults
+from repro.resilience.report import (
+    FAILURE_KIND_ERROR,
+    FAILURE_KIND_TIMEOUT,
+    JobFailure,
+)
 from repro.service.cache import CacheWarning, ResultCache
 from repro.usecase.levels import level_by_name
 
@@ -234,3 +239,27 @@ class TestNegativeEntries:
         )
         assert resumed.ok and resumed.cached == len(CONFIGS)
         assert list(resumed) == list(report)
+
+    def test_deterministic_retry_removes_the_stale_quarantine(
+        self, tmp_path, simulated
+    ):
+        store = ResultCache(tmp_path / "store")
+        store.put(_key(CONFIGS[1]), _quarantine())
+        # Retried without resume, the point now ends in a deterministic
+        # error, which is never stored...
+        with faults.injected(faults.FaultPlan(site="sweep", index=1, once=False)):
+            retried = sweep_use_case(
+                [LEVEL], CONFIGS, chunk_budget=BUDGET, cache=store, strict=False
+            )
+        (failure,) = retried.failures
+        assert failure.kind == FAILURE_KIND_ERROR
+        # ...so the old quarantine goes with it: a resume recomputes the
+        # point instead of serving the stale timeout.
+        assert not store.contains(_key(CONFIGS[1]))
+        del simulated[:]
+        resumed = sweep_use_case(
+            [LEVEL], CONFIGS, chunk_budget=BUDGET, cache=store, resume=True
+        )
+        assert simulated == [2]
+        assert resumed.ok and resumed.resumed == 0
+        assert resumed.cached == len(CONFIGS) - 1

@@ -58,6 +58,16 @@ class TestRoundTrip:
         cache.clear()
         assert len(cache) == 0
 
+    def test_discard_removes_one_entry_stat_neutrally(self, cache):
+        cache.put(KEY, 1)
+        cache.put("b" * 64, 2)
+        cache.discard(KEY)
+        cache.discard(KEY)  # already gone: a no-op
+        cache.discard("c" * 64)  # never stored: a no-op
+        assert not cache.contains(KEY)
+        assert cache.get("b" * 64) == 2
+        assert cache.stats()["hits"] == 1 and cache.stats()["misses"] == 0
+
     def test_clear_removes_staging_debris(self, cache):
         # A writer killed between staging and the atomic rename leaves
         # a staging file that no lookup ever reads or replaces.
