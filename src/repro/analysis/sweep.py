@@ -370,8 +370,9 @@ def _serve_stored(
     quarantined_positions)``.  A stored point is always served.  A
     negative entry (a point an earlier run quarantined) is served as
     its recorded failure only under ``resume``; otherwise it is a
-    silent miss, so the point is retried and its new outcome replaces
-    the entry; ``quarantined_positions`` names those retried points.
+    silent miss (counted as a cache miss), so the point is retried and
+    its new outcome replaces the entry; ``quarantined_positions`` names
+    those retried points.
     """
     results: List[Optional[SweepPoint]] = [None] * len(jobs)
     if cache is None:
@@ -380,8 +381,14 @@ def _serve_stored(
     restored: List[JobFailure] = []
     pending_positions: List[int] = []
     quarantined_positions: Set[int] = set()
+
+    def serves(payload) -> bool:
+        return isinstance(payload, SweepPoint) or (
+            resume and isinstance(payload, JobFailure)
+        )
+
     for position, key in enumerate(keys):
-        hit = cache.get(key)
+        hit = cache.get(key, serves)
         if isinstance(hit, SweepPoint):
             results[position] = hit
             cached += 1
@@ -470,8 +477,9 @@ def sweep_use_case(
     :class:`~repro.service.cache.CacheWarning` -- a damaged cache can
     cost time, never correctness.  ``cache.hits`` / ``cache.misses`` /
     ``cache.corrupt`` / ``cache.evictions`` counters land in
-    ``telemetry`` when given (``cache.hits`` counts negative entries
-    read, served or not).
+    ``telemetry`` when given (``cache.hits`` counts the entries served:
+    a negative entry read without ``resume``, or an entry that holds no
+    sweep point, is a miss).
 
     ``resume=True`` (CLI ``--resume``; needs ``cache``) also serves
     each negative entry as its recorded failure, so a resumed sweep

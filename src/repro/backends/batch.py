@@ -33,13 +33,21 @@ three steps:
    with :func:`decode_cache_stats`, drop it with
    :func:`clear_decode_cache`.
 
-3. **Closed-form batching.**  Within a segment the engine *proves*
-   the recurrence holds for the next ``n`` accesses (all bounds
-   dominated by the data-bus bound, no queue stall, no refresh due)
-   and applies its cumulative-sum closed form (``busfree(i) =
-   bus_free + i*burst + (ovh_acc + i*ovh_per) >> ovh_shift``) in
-   O(1), split at refresh deadlines; where the proof fails it steps
-   per access with the reference engine's exact loop body.
+3. **One closed-form body per segment visit.**  Each visit runs the
+   reference engine's refresh and row-management blocks once, takes
+   the head access's column time as the max of every bound
+   (``col_ready``, the command-queue floor, the read/write turnaround
+   and ``bus_free - latency``), and then issues the head and the rest
+   of the segment by the recurrence's cumulative-sum closed form
+   (``ds(i) = base + i*burst + (ovh_acc + i*ovh_per) >> ovh_shift``
+   from ``base = head + latency``) in O(1).  Past the head nothing but
+   a refresh deadline or a command-queue floor can break the
+   recurrence (the row stays open, and the data-bus bound grows by at
+   least one burst per access while the other bounds stay fixed), so
+   the batch is cut short only there and the next visit of the same
+   segment picks up after it.  At ``n = 1`` the closed form *is* the
+   reference's column step, so short segments, row-opening heads and
+   turnaround heads take the same path as long streaming ones.
 
 The result is therefore **bit-identical** to the reference backend on
 every input stream (``reference_tolerance = 0.0``: the differential
@@ -69,11 +77,6 @@ from repro.controller.interconnect import OVERHEAD_SCALE, OVERHEAD_SHIFT
 from repro.core.config import SystemConfig
 from repro.dram.commands import CommandCounters, StateDurations
 from repro.dram.device import NO_OPEN_ROW
-
-#: Smallest run length worth the batch bookkeeping; shorter stretches
-#: are stepped (the closed form costs ~a dozen integer ops plus up to
-#: ``queue.depth`` ring updates, so tiny batches would not pay).
-MIN_BATCH = 4
 
 #: Maximum decoded segment tables kept alive.  Sized for one sweep
 #: row's worth of channel streams (up to 8 channels) with headroom, so
@@ -242,13 +245,16 @@ class BatchChannelEngine(ChannelEngine):
         holds it (a split hashes each channel once for all its
         clocks); without it the runs are hashed here.
 
-        The stepped branch is the reference engine's loop body, kept
-        textually in sync; the batch branch is that body's closed form
-        applied per decoded segment under the conditions it checks
-        first.  Command logging, invariant checking and the
-        closed-page policy fall back to the inherited reference loop
-        (every command must be materialised to be logged / immediately
-        precharged).
+        Each segment visit is one body: the reference engine's
+        refresh, command-queue and row-management blocks (kept
+        textually in sync with it), the head's column time as the max
+        of every bound, then the head and the segment's remaining
+        accesses in closed form -- capped at the next refresh
+        deadline and, where the command queue can bind, before the
+        first access whose queue floor would stall it.  Command
+        logging, invariant checking and the closed-page policy fall
+        back to the inherited reference loop (every command must be
+        materialised to be logged / immediately precharged).
         """
         if command_log is not None or self.check_invariants:
             return ChannelEngine.run_trusted(self, runs, command_log)
@@ -354,104 +360,6 @@ class BatchChannelEngine(ChannelEngine):
 
             left = count
             while left > 0:
-                # ==== batch attempt ===================================
-                # Conditions under which the next n accesses provably
-                # reduce to the steady-state recurrence:
-                #   1. no refresh due before any batched command issue,
-                #   2. row hit ((bank, row) constant per segment),
-                #   3. the data-bus bound dominates every other bound of
-                #      the first access (monotonicity extends this to
-                #      the rest: the bus bound grows by >= burst >= 1
-                #      per access while col_ready / turnaround bounds
-                #      stay fixed and cmd_free trails the bus bound),
-                #   4. no command-queue stall for any batched access.
-                if left >= MIN_BATCH and cmd_free < next_ref and open_row[bnk] == row:
-                    t1 = bus_free - lat
-                    if is_read:
-                        turn_ok = t1 >= last_wr_end + t_wtr
-                    else:
-                        turn_ok = t1 >= last_rd_end + rtw_gap - wl
-                    if turn_ok and t1 >= cmd_free and t1 >= col_ready[bnk]:
-                        n = left
-                        if queue_live and not const_ok and n > qdepth:
-                            n = qdepth
-                        # Refresh cap: access a (>= 2) issues its column
-                        # command with cmd_free_a = busfree(a-2)-lat+1,
-                        # which must stay below next_ref.  Access n's
-                        # bound busfree(n-2) - bus_free is at most
-                        # (n-2)*step_max, so a far refresh caps nothing.
-                        x = next_ref + lat - 2 - bus_free
-                        if x < 0:
-                            n = 1
-                        elif (n - 2) * step_max > x:
-                            i_max = (x * ovh_scale - ovh_acc) // bstep
-                            # floor slack can admit at most one more
-                            if (
-                                (i_max + 1) * burst
-                                + ((ovh_acc + (i_max + 1) * ovh_per) >> ovh_shift)
-                                <= x
-                            ):
-                                i_max += 1
-                            if i_max + 2 < n:
-                                n = i_max + 2 if i_max >= 0 else 1
-                        if n >= MIN_BATCH:
-                            ok = True
-                            if queue_live:
-                                # Queue floors for the first min(n,
-                                # qdepth) accesses are pre-batch ring
-                                # entries; check each against that
-                                # access's cmd_free.
-                                m = n if n < qdepth else qdepth
-                                for a in range(1, m + 1):
-                                    if a == 1:
-                                        cf = cmd_free
-                                    else:
-                                        i = a - 2
-                                        cf = (
-                                            bus_free
-                                            + i * burst
-                                            + ((ovh_acc + i * ovh_per) >> ovh_shift)
-                                            - lat
-                                            + 1
-                                        )
-                                    if ring[(ring_i + a - 1) % qdepth] > cf:
-                                        ok = False
-                                        break
-                            if ok:
-                                # ---- apply the closed form -----------
-                                i = n - 1
-                                t_n = (
-                                    bus_free
-                                    + i * burst
-                                    + ((ovh_acc + i * ovh_per) >> ovh_shift)
-                                    - lat
-                                )
-                                if queue_live:
-                                    for a in range(n - m + 1, n + 1):
-                                        i = a - 1
-                                        ring[(ring_i + a - 1) % qdepth] = (
-                                            bus_free
-                                            + i * burst
-                                            + ((ovh_acc + i * ovh_per) >> ovh_shift)
-                                        )
-                                    ring_i = (ring_i + n) % qdepth
-                                total = ovh_acc + n * ovh_per
-                                bus_free = bus_free + n * burst + (total >> ovh_shift)
-                                ovh_acc = total & ovh_mask
-                                cmd_free = t_n + 1
-                                if is_read:
-                                    last_rd_end = t_n + cas + burst
-                                    f = t_n + burst
-                                else:
-                                    de = t_n + wl + burst
-                                    last_wr_end = de
-                                    f = de + t_wr
-                                if f > pre_ready[bnk]:
-                                    pre_ready[bnk] = f
-                                left -= n
-                                continue
-
-                # ==== stepped access (reference loop body) ============
                 # --- refresh ------------------------------------------
                 if cmd_free >= next_ref:
                     tpre = cmd_free
@@ -533,56 +441,94 @@ class BatchChannelEngine(ChannelEngine):
                     open_row[bnk] = row
                     n_act += 1
 
-                # --- column command -----------------------------------
+                # --- head column command: the max of every bound ------
                 t = col_ready[bnk]
                 if t < t0:
                     t = t0
                 if is_read:
                     f = last_wr_end + t_wtr
-                    if f > t:
-                        t = f
-                    f = bus_free - cas
-                    if f > t:
-                        t = f
-                    if t < cmd_free:
-                        t = cmd_free
-                    cmd_free = t + 1
-                    ds = t + cas
-                    de = ds + burst
-                    last_rd_end = de
-                    f = t + burst  # read-to-precharge (tRTP ~ BL/2)
-                    if f > pre_ready[bnk]:
-                        pre_ready[bnk] = f
                 else:
                     f = last_rd_end + rtw_gap - wl
-                    if f > t:
-                        t = f
-                    f = bus_free - wl
-                    if f > t:
-                        t = f
-                    if t < cmd_free:
-                        t = cmd_free
-                    cmd_free = t + 1
-                    ds = t + wl
-                    de = ds + burst
+                if f > t:
+                    t = f
+                f = bus_free - lat
+                if f > t:
+                    t = f
+                if t < cmd_free:
+                    t = cmd_free
+                base = t + lat
+
+                # --- how many accesses the closed form covers ---------
+                # Access a >= 2 of the batch finds its row open and every
+                # other bound dominated by its data-bus bound (that bound
+                # grows by >= burst >= 1 per access while col_ready and
+                # the turnaround bound stay at most the head's time), so
+                # only a refresh deadline or a queue floor can break the
+                # recurrence.  Refresh cap: access a issues with cmd_free
+                # = busfree(a-2) - lat + 1, which must stay below
+                # next_ref; busfree(n-2) - base is at most
+                # (n-2)*step_max, so a far refresh caps nothing.
+                n = left
+                x = next_ref + lat - 2 - base
+                if x < 0:
+                    n = 1
+                elif (n - 2) * step_max > x:
+                    i_max = (x * ovh_scale - ovh_acc) // bstep
+                    # floor slack can admit at most one more
+                    if (
+                        (i_max + 1) * burst
+                        + ((ovh_acc + (i_max + 1) * ovh_per) >> ovh_shift)
+                        <= x
+                    ):
+                        i_max += 1
+                    if i_max + 2 < n:
+                        n = i_max + 2 if i_max >= 0 else 1
+                if queue_live:
+                    if not const_ok and n > qdepth:
+                        n = qdepth
+                    # Accesses 2..min(n, qdepth) consume ring entries
+                    # written before the batch; cap n before the first
+                    # that would stall.  Later ones consume the batch's
+                    # own data starts, which const_ok proves never bind.
+                    m = n if n < qdepth else qdepth
+                    for a in range(2, m + 1):
+                        i = a - 2
+                        cf = (
+                            base
+                            + i * burst
+                            + ((ovh_acc + i * ovh_per) >> ovh_shift)
+                            - lat
+                            + 1
+                        )
+                        if ring[(ring_i + a - 1) % qdepth] > cf:
+                            n = a - 1
+                            break
+                    m = n if n < qdepth else qdepth
+                    for a in range(n - m + 1, n + 1):
+                        i = a - 1
+                        ring[(ring_i + i) % qdepth] = (
+                            base + i * burst + ((ovh_acc + i * ovh_per) >> ovh_shift)
+                        )
+                    ring_i = (ring_i + n) % qdepth
+
+                # --- issue n accesses in closed form ------------------
+                i = n - 1
+                total = ovh_acc + i * ovh_per
+                t = base + i * burst + (total >> ovh_shift) - lat
+                total += ovh_per
+                bus_free = base + n * burst + (total >> ovh_shift)
+                ovh_acc = total & ovh_mask
+                cmd_free = t + 1
+                if is_read:
+                    last_rd_end = t + cas + burst
+                    f = t + burst  # read-to-precharge (tRTP ~ BL/2)
+                else:
+                    de = t + wl + burst
                     last_wr_end = de
                     f = de + t_wr  # write recovery before precharge
-                    if f > pre_ready[bnk]:
-                        pre_ready[bnk] = f
-
-                # --- interconnect overhead ----------------------------
-                ovh_acc += ovh_per
-                if ovh_acc >= ovh_scale:
-                    de += ovh_acc >> ovh_shift
-                    ovh_acc &= ovh_mask
-
-                bus_free = de
-                if queue_live:
-                    ring[ring_i] = ds
-                    ring_i += 1
-                    if ring_i == qdepth:
-                        ring_i = 0
-                left -= 1
+                if f > pre_ready[bnk]:
+                    pre_ready[bnk] = f
+                left -= n
 
         finish = bus_free if bus_free > cmd_free else cmd_free
 

@@ -227,7 +227,7 @@ class FeasibilityOracle:
         entry is not a point)."""
         if self.cache is None or not self.cache.contains(key):
             return None
-        hit = self.cache.get(key)
+        hit = self.cache.get(key, lambda payload: isinstance(payload, SweepPoint))
         return hit if isinstance(hit, SweepPoint) else None
 
     def _context(self, level: H264Level, bound: BoundWorkload) -> tuple:

@@ -55,7 +55,7 @@ import tempfile
 import warnings
 import zlib
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Union
+from typing import Any, Callable, Dict, Mapping, Optional, Union
 
 from repro.resilience.faults import TornWriteInjected, maybe_torn_write
 from repro.resilience.report import JobFailure
@@ -177,13 +177,20 @@ class ResultCache:
 
     # -- lookups ------------------------------------------------------------
 
-    def get(self, key: str) -> Optional[Any]:
+    def get(
+        self, key: str, serves: Optional[Callable[[Any], bool]] = None
+    ) -> Optional[Any]:
         """The cached payload for ``key``, or ``None`` on a miss.
 
         Corrupt entries (torn writes, bit rot, foreign files) count as
         misses: they warn with :class:`CacheWarning`, are deleted, and
         the caller recomputes.  Nothing raises out of here -- a cache
         must never be able to fail a sweep.
+
+        ``serves`` says whether the caller serves a payload it reads;
+        one it will not serve (a negative entry outside a resume) is
+        still returned but counts as a miss, so ``hits`` counts only
+        served entries.
         """
         path = self.entry_path(key)
         try:
@@ -201,7 +208,10 @@ class ResultCache:
             except OSError:
                 pass
             return None
-        self._stats["hits"] += 1
+        if serves is None or serves(payload):
+            self._stats["hits"] += 1
+        else:
+            self._stats["misses"] += 1
         return payload
 
     def _decode(self, key: str, raw: bytes) -> Optional[Any]:

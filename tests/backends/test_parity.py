@@ -11,13 +11,26 @@ documents:
   paper's streaming workloads;
 - all hold across the Fig. 3 frequency sweep and the Fig. 4 format
   sweep configurations.
+
+The batch engine issues every segment visit as one closed-form body
+whose head takes the max of all its bounds; the identity classes at
+the end pin the cases that body must get right beyond the default
+queue on unpaced traffic: a live command queue, idle gaps under every
+power-down policy, heads held by a turnaround or by ``col_ready``
+after an activate, and a refresh deadline inside a segment.
 """
+
+from dataclasses import fields, replace
 
 import pytest
 
+from repro.controller.engine import ChannelResult
+from repro.controller.queue import CommandQueueModel
 from repro.core.channel import Channel
 from repro.core.config import PAPER_FREQUENCIES_MHZ, SystemConfig
 from repro.core.system import MultiChannelMemorySystem
+from repro.dram.commands import Command
+from repro.dram.powerstate import ImmediatePowerDown, NoPowerDown, TimeoutPowerDown
 from repro.load.model import VideoRecordingLoadModel
 from repro.load.scaling import choose_scale
 from repro.usecase.levels import level_by_name
@@ -149,3 +162,159 @@ class TestBitIdentity:
         Channel(config.with_backend(backend)).run(runs, command_log=out_log)
         assert out_log == ref_log
         assert len(ref_log) > 0
+
+
+def _assert_identical(ref: ChannelResult, out: ChannelResult) -> None:
+    """Every :class:`ChannelResult` field, named on a mismatch."""
+    for field in fields(ChannelResult):
+        want = getattr(ref, field.name)
+        assert getattr(out, field.name) == want, field.name
+
+
+def _queue_live(config: SystemConfig) -> bool:
+    """Whether the command-queue floor can bind at this depth (the
+    batch engine's ``queue_live``): some latency exceeds what
+    ``depth - 1`` bursts of the same direction cover."""
+    timing = config.device.timing.at_frequency(config.freq_mhz)
+    cover = (config.queue.depth - 1) * timing.burst_cycles
+    return cover < max(timing.cas_latency, timing.write_latency) - 1
+
+
+#: Shallow command queues at every Fig. 3 clock.
+QUEUE_CONFIGS = [
+    SystemConfig(
+        channels=1, freq_mhz=freq, queue=CommandQueueModel(depth=depth)
+    )
+    for depth in (1, 2, 4)
+    for freq in PAPER_FREQUENCIES_MHZ
+]
+QUEUE_IDS = [
+    f"q{config.queue.depth}-{config.freq_mhz:g}MHz"
+    + ("-live" if _queue_live(config) else "")
+    for config in QUEUE_CONFIGS
+]
+
+
+@pytest.mark.parametrize("backend", EXACT_BACKENDS)
+class TestShallowQueueIdentity:
+    @pytest.mark.parametrize("config", QUEUE_CONFIGS, ids=QUEUE_IDS)
+    def test_full_result_identical(self, config, backend):
+        txns, scale = _frame_traffic("3.1")
+        ref = MultiChannelMemorySystem(config.with_backend("reference"))
+        out = MultiChannelMemorySystem(config.with_backend(backend))
+        (ch_ref,) = ref.run(txns, scale=scale).channels
+        (ch_out,) = out.run(txns, scale=scale).channels
+        _assert_identical(ch_ref, ch_out)
+        if config.queue.depth == 1:
+            # Live at every clock, and the floor really binds here.
+            assert _queue_live(config) and ch_ref.queue_stalls > 0
+
+
+def _paced_runs():
+    """Eight-chunk reads, then writes, whose arrivals leave idle gaps
+    from 2 cycles (either side of a 16-cycle timeout) to ~3000 at
+    400 MHz; the first few of each direction arrive while the channel
+    is still busy."""
+    runs = []
+    arrival = 0
+    for op in (0, 1):
+        for i, spacing in enumerate((*range(18, 44, 2), 60, 300, 3000)):
+            arrival += spacing + 25 * op
+            runs.append((op, 256 * op + 8 * i, 8, arrival))
+    return runs
+
+
+def _reference_log(config: SystemConfig, runs) -> list:
+    log = []
+    Channel(config.with_backend("reference")).run(runs, command_log=log)
+    return log
+
+
+def _identical(config: SystemConfig, runs, backend: str) -> None:
+    ref = Channel(config.with_backend("reference")).run(runs)
+    out = Channel(config.with_backend(backend)).run(runs)
+    _assert_identical(ref, out)
+
+
+PAPER_CLOCK = SystemConfig(channels=1, freq_mhz=400.0)
+TIMING = PAPER_CLOCK.device.timing.at_frequency(400.0)
+
+#: Hand-built cases run at the paper clock with the default queue and
+#: with a queue-live depth of one.
+HAND_CONFIGS = [PAPER_CLOCK, replace(PAPER_CLOCK, queue=CommandQueueModel(depth=1))]
+HAND_IDS = ["q8", "q1"]
+COLUMN = (Command.READ, Command.WRITE)
+
+
+@pytest.mark.parametrize("backend", EXACT_BACKENDS)
+class TestPacedIdentity:
+    @pytest.mark.parametrize(
+        "policy",
+        [ImmediatePowerDown(), TimeoutPowerDown(16), NoPowerDown()],
+        ids=lambda policy: policy.name,
+    )
+    @pytest.mark.parametrize("config", HAND_CONFIGS, ids=HAND_IDS)
+    def test_idle_gaps_identical(self, config, policy, backend):
+        config = replace(config, power_down=policy)
+        runs = _paced_runs()
+        _identical(config, runs, backend)
+        entries = Channel(config).run(runs).counters.power_down_entries
+        if isinstance(policy, NoPowerDown):
+            assert entries == 0
+        else:
+            assert entries > 0
+
+
+@pytest.mark.parametrize("backend", EXACT_BACKENDS)
+@pytest.mark.parametrize("config", HAND_CONFIGS, ids=HAND_IDS)
+class TestHeadBoundIdentity:
+    """Runs built so that a segment's head is held by one bound other
+    than the data bus; the reference's command log shows which."""
+
+    def test_write_to_read_turnaround(self, config, backend):
+        # Short alternating runs inside one row: every head after the
+        # first is a direction switch.
+        runs = [(i % 2 ^ 1, i * 8, 8, 0) for i in range(24)]
+        _identical(config, runs, backend)
+        log = _reference_log(PAPER_CLOCK, runs)
+        column = [rec for rec in log if rec.command in COLUMN]
+        held = [
+            after.cycle
+            == before.cycle + TIMING.write_latency + TIMING.burst_cycles
+            + TIMING.t_wtr
+            for before, after in zip(column, column[1:])
+            if before.command is Command.WRITE and after.command is Command.READ
+        ]
+        assert len(held) == 12 and all(held)
+
+    def test_col_ready_after_activate(self, config, backend):
+        # Bank 0, row 0 then row 1: a row conflict, so the second run's
+        # head waits for its activate's tRCD.
+        runs = [(0, 0, 64, 0), (0, 1024, 64, 0), (1, 2048, 32, 0)]
+        _identical(config, runs, backend)
+        log = _reference_log(PAPER_CLOCK, runs)
+        after_act = [
+            (before.cycle, after.cycle)
+            for before, after in zip(log, log[1:])
+            if before.command is Command.ACTIVATE and after.command in COLUMN
+        ]
+        assert len(after_act) == 3
+        assert all(col == act + TIMING.t_rcd for act, col in after_act)
+
+    @pytest.mark.parametrize("op", [0, 1], ids=["read", "write"])
+    def test_refresh_deadline_inside_a_segment(self, config, op, backend):
+        runs = [(op, 0, 32768, 0)]
+        _identical(config, runs, backend)
+        # Count the column commands issued before each refresh: a count
+        # that is not a multiple of the segment length (one aligned
+        # 2**block_shift block) means the deadline fell mid-segment.
+        block = 1 << Channel(PAPER_CLOCK).simulator.mapping.block_shift
+        issued = 0
+        cuts = []
+        for rec in _reference_log(PAPER_CLOCK, runs):
+            if rec.command in COLUMN:
+                issued += 1
+            elif rec.command is Command.REFRESH:
+                cuts.append(issued % block)
+        assert len(cuts) >= 3
+        assert any(cut != 0 for cut in cuts)

@@ -240,6 +240,25 @@ class TestNegativeEntries:
         assert resumed.ok and resumed.cached == len(CONFIGS)
         assert list(resumed) == list(report)
 
+    @pytest.mark.parametrize("resume", [False, True])
+    def test_hits_count_only_served_entries(self, tmp_path, resume):
+        store = ResultCache(tmp_path / "store")
+        sweep_use_case([LEVEL], CONFIGS, chunk_budget=BUDGET, cache=store)
+        store.put(_key(CONFIGS[1]), _quarantine())
+        before = store.stats()
+        report = sweep_use_case(
+            [LEVEL],
+            CONFIGS,
+            chunk_budget=BUDGET,
+            cache=store,
+            resume=resume,
+            strict=False,
+        )
+        hits = store.stats()["hits"] - before["hits"]
+        misses = store.stats()["misses"] - before["misses"]
+        assert hits == report.cached + report.resumed
+        assert (hits, misses) == ((3, 0) if resume else (2, 1))
+
     def test_deterministic_retry_removes_the_stale_quarantine(
         self, tmp_path, simulated
     ):

@@ -68,6 +68,15 @@ class TestRoundTrip:
         assert cache.get("b" * 64) == 2
         assert cache.stats()["hits"] == 1 and cache.stats()["misses"] == 0
 
+    def test_entry_the_caller_does_not_serve_is_a_miss(self, cache):
+        cache.put(KEY, {"answer": 42})
+        # Still returned, so the caller can act on what it read...
+        assert cache.get(KEY, lambda payload: False) == {"answer": 42}
+        assert cache.stats()["hits"] == 0 and cache.stats()["misses"] == 1
+        # ...and a served read is a hit as before.
+        assert cache.get(KEY, lambda payload: True) == {"answer": 42}
+        assert cache.stats()["hits"] == 1 and cache.stats()["misses"] == 1
+
     def test_clear_removes_staging_debris(self, cache):
         # A writer killed between staging and the atomic rename leaves
         # a staging file that no lookup ever reads or replaces.

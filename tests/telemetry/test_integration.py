@@ -196,9 +196,9 @@ class TestSweepTelemetry:
 
         real_get = ResultCache.get
 
-        def slow_get(self, key):
+        def slow_get(self, key, serves=None):
             clock[0] += 100.0  # pretend each store lookup took 100 s
-            return real_get(self, key)
+            return real_get(self, key, serves)
 
         monkeypatch.setattr(ResultCache, "get", slow_get)
 

@@ -131,6 +131,40 @@ class TestResilienceFlags:
         assert "0 miss(es), 0 write(s)" in second
         assert len(list(cache.glob("*.rc"))) == entries_after_first
 
+    def test_ignored_quarantine_counts_as_a_miss(
+        self, tmp_path, capsys, fast_args
+    ):
+        # A re-run of a stalled Fig. 3 without --resume retries the
+        # quarantined point: its negative entry is read but not served,
+        # so it is a miss, and the hits are exactly the points served.
+        import json
+
+        from repro.resilience.report import FAILURE_KIND_TIMEOUT, JobFailure
+        from repro.service.cache import ResultCache
+
+        cache = tmp_path / "cache"
+        assert main(fast_args + ["--cache-dir", str(cache), "fig3"]) == 0
+        first = capsys.readouterr().out
+        assert "0 hit(s), 24 miss(es), 24 write(s)" in first
+        stalled = sorted(cache.glob("*.rc"))[0].stem
+        ResultCache(cache).put(
+            stalled,
+            JobFailure.from_quarantine(
+                1, "job", FAILURE_KIND_TIMEOUT, "hung past its deadline"
+            ),
+        )
+        path = tmp_path / "metrics.json"
+        assert main(
+            fast_args
+            + ["--cache-dir", str(cache), "--metrics-out", str(path), "fig3"]
+        ) == 0
+        rerun = capsys.readouterr().out
+        assert "ERR" not in rerun
+        assert "23 hit(s), 1 miss(es), 1 write(s)" in rerun
+        counters = json.loads(path.read_text())["counters"]
+        assert counters["cache.hits"] == counters["sweep.points_cached"] == 23
+        assert counters["cache.misses"] == 1
+
     def test_resume_requires_cache_dir(self, capsys):
         with pytest.raises(SystemExit):
             main(["--resume", "fig4"])
