@@ -320,17 +320,13 @@ class BatchChannelEngine(ChannelEngine):
         n_qstall = 0
         n_conflict = 0
 
-        const_ok_rd = (qdepth - 1) * burst >= cas - 1
-        const_ok_wr = (qdepth - 1) * burst >= wl - 1
-        # When both hold, the command-queue floor can never bind: every
-        # access's data start satisfies ds_j >= ds_{j-1} + burst (the
-        # column command is max'ed with bus_free - lat), so the ring
-        # entry consumed by access j is ds_{j-q} <= ds_{j-1} -
-        # (q-1)*burst <= (cmd_free - 1 + lat) - (lat - 1) = cmd_free
-        # (initial entries are zero and cmd_free >= 0).  No stall can
-        # be counted and no floor can raise t0, so the whole ring --
-        # checks and writes -- is provably dead weight and is skipped.
-        queue_live = not (const_ok_rd and const_ok_wr)
+        # Where the command-queue floor cannot bind, the whole ring --
+        # checks and writes -- is dead weight and is skipped.  Where it
+        # can, a direction whose latency the queue covers still never
+        # stalls on its batch's own data starts.
+        queue_live = self.queue.can_bind(timing)
+        const_ok_rd = self.queue.covers(burst, cas)
+        const_ok_wr = self.queue.covers(burst, wl)
 
         for op, bnk, row, count, arrival in decoded.segments:
             # --- idle-gap / power-down handling at run boundaries -----

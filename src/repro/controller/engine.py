@@ -24,7 +24,8 @@ Scheduling model
 - The command bus issues one command per cycle; precharge/activate
   pairs for upcoming accesses can issue while earlier data bursts are
   still draining, bounded by the command-queue depth
-  (:class:`repro.controller.queue.CommandQueueModel`).
+  (:class:`repro.controller.queue.CommandQueueModel`), whose ring is
+  skipped wherever its ``can_bind`` proof says the bound cannot bind.
 - The data bus is seamless for same-direction bursts; direction
   switches pay the write-to-read (tWTR) and read-to-write turnaround
   gaps.
@@ -368,8 +369,12 @@ class ChannelEngine:
 
         The loop body is deliberately monolithic and local-variable
         heavy: it executes once per 16-byte burst and dominates the
-        simulator's runtime.  The ``(bank, row)`` decode sits outside
-        it, once per aligned ``2**mapping.block_shift`` block of a run.
+        simulator's runtime.  What is fixed sits outside it: the
+        ``(bank, row)`` decode, once per aligned block of a run; each
+        run's latency, turnaround floor, precharge offset, column
+        command and read/write tally, once per run (a run has one
+        direction and leaves the other's last data end alone); and the
+        command-queue ring wherever ``queue.can_bind`` rules it out.
         """
         if self.check_invariants and command_log is None:
             command_log = []
@@ -428,6 +433,7 @@ class ChannelEngine:
         qdepth = self.queue.depth
         ring = self.queue.make_ring()
         ring_i = 0
+        queue_live = self.queue.can_bind(timing)
 
         pd_policy = self.power_down
         pd_cycles = 0
@@ -463,7 +469,16 @@ class ChannelEngine:
                 if arrival > bus_free:
                     bus_free = arrival
 
-            is_read = op == 0
+            if op == 0:
+                lat = cas
+                turn = last_wr_end + t_wtr
+                pre_off = burst  # read-to-precharge (tRTP ~ BL/2)
+                col_cmd = Command.READ
+            else:
+                lat = wl
+                turn = last_rd_end + rtw_gap - wl
+                pre_off = wl + burst + t_wr  # write recovery
+                col_cmd = Command.WRITE
             # (bank, row) is constant over each aligned 2**block_shift
             # block of chunks: decode once per block, then step its
             # bursts.
@@ -524,11 +539,12 @@ class ChannelEngine:
                             next_ref += t_refi
 
                     t0 = cmd_free
-                    # --- command-queue bound --------------------------
-                    floor = ring[ring_i]
-                    if floor > t0:
-                        t0 = floor
-                        n_qstall += 1
+                    # --- command-queue bound (dead unless queue_live) -
+                    if queue_live:
+                        floor = ring[ring_i]
+                        if floor > t0:
+                            t0 = floor
+                            n_qstall += 1
 
                     # --- row management -------------------------------
                     orow = open_row[bank]
@@ -576,56 +592,34 @@ class ChannelEngine:
                     t = col_ready[bank]
                     if t < t0:
                         t = t0
-                    if is_read:
-                        f = last_wr_end + t_wtr
-                        if f > t:
-                            t = f
-                        f = bus_free - cas
-                        if f > t:
-                            t = f
-                        if t < cmd_free:
-                            t = cmd_free
-                        cmd_free = t + 1
-                        if log_append is not None:
-                            log_append(CommandRecord(t, Command.READ, bank, row))
-                        ds = t + cas
-                        de = ds + burst
-                        last_rd_end = de
-                        f = t + burst  # read-to-precharge (tRTP ~ BL/2)
-                        if f > pre_ready[bank]:
-                            pre_ready[bank] = f
-                        n_rd += 1
-                    else:
-                        f = last_rd_end + rtw_gap - wl
-                        if f > t:
-                            t = f
-                        f = bus_free - wl
-                        if f > t:
-                            t = f
-                        if t < cmd_free:
-                            t = cmd_free
-                        cmd_free = t + 1
-                        if log_append is not None:
-                            log_append(CommandRecord(t, Command.WRITE, bank, row))
-                        ds = t + wl
-                        de = ds + burst
-                        last_wr_end = de
-                        f = de + t_wr  # write recovery before precharge
-                        if f > pre_ready[bank]:
-                            pre_ready[bank] = f
-                        n_wr += 1
+                    if turn > t:
+                        t = turn
+                    f = bus_free - lat
+                    if f > t:
+                        t = f
+                    if t < cmd_free:
+                        t = cmd_free
+                    cmd_free = t + 1
+                    if log_append is not None:
+                        log_append(CommandRecord(t, col_cmd, bank, row))
+                    ds = t + lat
+                    f = t + pre_off
+                    if f > pre_ready[bank]:
+                        pre_ready[bank] = f
 
                     # --- interconnect overhead ------------------------
+                    de = ds + burst
                     ovh_acc += ovh_per
                     if ovh_acc >= OVERHEAD_SCALE:
                         de += ovh_acc >> ovh_shift
                         ovh_acc &= ovh_mask
-
                     bus_free = de
-                    ring[ring_i] = ds
-                    ring_i += 1
-                    if ring_i == qdepth:
-                        ring_i = 0
+
+                    if queue_live:
+                        ring[ring_i] = ds
+                        ring_i += 1
+                        if ring_i == qdepth:
+                            ring_i = 0
 
                     # --- closed-page policy: precharge immediately ----
                     if closed_page:
@@ -642,6 +636,12 @@ class ChannelEngine:
                         if f > act_ready[bank]:
                             act_ready[bank] = f
                 lo = hi
+            if op == 0:
+                last_rd_end = ds + burst
+                n_rd += count
+            else:
+                last_wr_end = ds + burst
+                n_wr += count
 
         finish = bus_free if bus_free > cmd_free else cmd_free
 

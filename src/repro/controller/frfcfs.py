@@ -25,6 +25,12 @@ window per burst — and is protocol-audited by the same
 :class:`~repro.dram.protocol.ProtocolChecker` as the in-order engine.
 Only the open-page policy is supported (FR-FCFS is meaningless under
 closed-page: there are no row hits to prefer).
+
+FR-FCFS models no command queue: nothing bounds how far its command
+issue runs ahead of the data bus.  With a one-entry window it
+therefore equals the in-order engine only where that engine's queue
+cannot bind (:meth:`~repro.controller.queue.CommandQueueModel.can_bind`);
+the fuzzer's ``check_frfcfs_degeneracy`` holds it to exactly that.
 """
 
 from __future__ import annotations

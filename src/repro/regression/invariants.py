@@ -201,12 +201,18 @@ def check_frfcfs_degeneracy(case: FuzzCase) -> List[InvariantViolation]:
     on every :class:`~repro.controller.engine.ChannelResult` field, on
     every channel (open page policy).
 
-    FR-FCFS models no command queue, so it is held to the in-order
-    engine at the default queue depth (the depth of every case before
-    the fuzzer drew one), not at the depth the case draws."""
-    config = replace(
-        case.config, page_policy=PagePolicy.OPEN, queue=CommandQueueModel()
-    )
+    FR-FCFS models no command queue, so it equals the in-order engine
+    only where the queue cannot bind.  It is held to the in-order
+    engine at the depth the case draws wherever
+    :meth:`~repro.controller.queue.CommandQueueModel.can_bind` says
+    that depth cannot bind -- there the in-order engine skips its ring,
+    and the queue-less FR-FCFS witnesses the skip -- and at the default
+    depth otherwise."""
+    timing = case.config.device.timing.at_frequency(case.config.freq_mhz)
+    queue = case.config.queue
+    if queue.can_bind(timing):
+        queue = CommandQueueModel()
+    config = replace(case.config, page_policy=PagePolicy.OPEN, queue=queue)
     in_order = build_engine(config)
     reordering = ReorderingChannelEngine(
         config.device,

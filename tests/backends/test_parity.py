@@ -18,13 +18,19 @@ the end pin the cases that body must get right beyond the default
 queue on unpaced traffic: a live command queue, idle gaps under every
 power-down policy, heads held by a turnaround or by ``col_ready``
 after an activate, and a refresh deadline inside a segment.
+
+Two classes hold what parity with batch cannot: the digest of the
+reference's own command log, pinned across clock, queue depth and page
+policy, and a witness for the queue proof both exact engines share.
 """
 
+import hashlib
 from dataclasses import fields, replace
 
 import pytest
 
 from repro.controller.engine import ChannelResult
+from repro.controller.pagepolicy import PagePolicy
 from repro.controller.queue import CommandQueueModel
 from repro.core.channel import Channel
 from repro.core.config import PAPER_FREQUENCIES_MHZ, SystemConfig
@@ -172,12 +178,10 @@ def _assert_identical(ref: ChannelResult, out: ChannelResult) -> None:
 
 
 def _queue_live(config: SystemConfig) -> bool:
-    """Whether the command-queue floor can bind at this depth (the
-    batch engine's ``queue_live``): some latency exceeds what
-    ``depth - 1`` bursts of the same direction cover."""
+    """Whether the command-queue floor can bind at this depth (both
+    engines' ``queue_live``)."""
     timing = config.device.timing.at_frequency(config.freq_mhz)
-    cover = (config.queue.depth - 1) * timing.burst_cycles
-    return cover < max(timing.cas_latency, timing.write_latency) - 1
+    return config.queue.can_bind(timing)
 
 
 #: Shallow command queues at every Fig. 3 clock.
@@ -318,3 +322,97 @@ class TestHeadBoundIdentity:
                 cuts.append(issued % block)
         assert len(cuts) >= 3
         assert any(cut != 0 for cut in cuts)
+
+
+def _frame_runs():
+    """The 3.1 parity frame, split onto a single channel."""
+    txns, _ = _frame_traffic("3.1")
+    return MultiChannelMemorySystem(PAPER_CLOCK).split(txns).runs[0]
+
+
+def _log_digest(config: SystemConfig) -> str:
+    h = hashlib.sha256()
+    for rec in _reference_log(config, _frame_runs()):
+        h.update(f"{rec.cycle} {rec.command.value} {rec.bank} {rec.row}\n".encode())
+    return h.hexdigest()
+
+
+#: SHA-256 of the reference ``command_log`` of the 3.1 parity frame, one
+#: ``"cycle CMD bank row"`` line per command, computed before the
+#: per-burst body fixed each run's direction and skipped the ring.
+#: Under the closed page policy the per-access precharge keeps the
+#: command bus ahead of the queue floor, so depths 8 and 1 agree.
+PINNED_LOG_DIGESTS = {
+    (200.0, 8, "open"): (
+        "203fbbb0be5044fb28705c7fbaa3315f5f39daf64d83c8bfc6b46ad09381ab2a"
+    ),
+    (200.0, 8, "closed"): (
+        "b449ba687d11460ac25d2e6091644096732ddfdf6add5e5fb0d69a46aa4bfcdf"
+    ),
+    (200.0, 1, "open"): (
+        "44bc53d9efc6e02ea7069fa143b101a7583c8251c1f4cc680dbe1d0f1dabdf04"
+    ),
+    (200.0, 1, "closed"): (
+        "b449ba687d11460ac25d2e6091644096732ddfdf6add5e5fb0d69a46aa4bfcdf"
+    ),
+    (533.0, 8, "open"): (
+        "250eed1fcb9e9fbd82301ae259efa8e64fcc3eedd6b9013d3b56cbb9f489b22e"
+    ),
+    (533.0, 8, "closed"): (
+        "8485185f294a9dc8eb7c2b3e54bc32eb1d83e430a5a19cc50a7350024fb388e1"
+    ),
+    (533.0, 1, "open"): (
+        "4da8ceb6777114dc57e7c6ceb86c65c62595585b093f80c9557ea051b3289ddf"
+    ),
+    (533.0, 1, "closed"): (
+        "8485185f294a9dc8eb7c2b3e54bc32eb1d83e430a5a19cc50a7350024fb388e1"
+    ),
+}
+
+
+class TestPinnedCommandLog:
+    """Result parity cannot show that the reference issues every
+    command at the same cycle as before its loop was restructured:
+    batch never logs commands.  The log's digest shows it directly."""
+
+    @pytest.mark.parametrize(
+        "freq, depth, policy",
+        list(PINNED_LOG_DIGESTS),
+        ids=[f"{f:g}MHz-q{d}-{p}" for f, d, p in PINNED_LOG_DIGESTS],
+    )
+    def test_command_log_digest(self, freq, depth, policy):
+        config = SystemConfig(
+            channels=1,
+            freq_mhz=freq,
+            page_policy=PagePolicy(policy),
+            queue=CommandQueueModel(depth=depth),
+        )
+        assert _log_digest(config) == PINNED_LOG_DIGESTS[(freq, depth, policy)]
+
+
+@pytest.mark.parametrize("backend", ["reference", *EXACT_BACKENDS])
+@pytest.mark.parametrize("traffic", ["frame", "paced"])
+@pytest.mark.parametrize("depth", [1, 2, 4, 8])
+@pytest.mark.parametrize("freq", PAPER_FREQUENCIES_MHZ)
+class TestQueueProofWitness:
+    """Both exact engines skip the ring on the same proof,
+    ``CommandQueueModel.can_bind``, so their differential fuzz cannot
+    catch a wrong proof.  Forcing the ring on must change nothing."""
+
+    def test_forced_ring_changes_nothing(
+        self, monkeypatch, freq, depth, traffic, backend
+    ):
+        config = SystemConfig(
+            channels=1,
+            freq_mhz=freq,
+            queue=CommandQueueModel(depth=depth),
+            backend=backend,
+        )
+        runs = _frame_runs() if traffic == "frame" else _paced_runs()
+        live = _queue_live(config)
+        normal = Channel(config).run(runs)
+        monkeypatch.setattr(CommandQueueModel, "can_bind", lambda self, timing: True)
+        forced = Channel(config).run(runs)
+        _assert_identical(normal, forced)
+        if not live:
+            assert forced.queue_stalls == 0

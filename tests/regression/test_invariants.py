@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 
+from repro.controller.queue import CommandQueueModel
 from repro.regression import (
     check_case_invariants,
     check_channel_monotonicity,
@@ -69,6 +70,37 @@ class TestFrfcfsDegeneracy:
             assert violations == [], "\n".join(
                 v.describe() for v in violations
             )
+
+    def test_holds_at_the_drawn_depth_where_the_queue_cannot_bind(
+        self, monkeypatch
+    ):
+        from repro.regression import invariants
+
+        depths = []
+        real_build = invariants.build_engine
+
+        def recording_build(config):
+            depths.append(config.queue.depth)
+            return real_build(config)
+
+        monkeypatch.setattr(invariants, "build_engine", recording_build)
+        case = next(c for c in generate_cases(5, 40) if c.kind == "sequential")
+        # At 200 MHz only depth 1 can bind; at 533 MHz depths 1, 2 and 4.
+        for freq, depth, held_at in (
+            (200.0, 1, 8),
+            (200.0, 2, 2),
+            (200.0, 4, 4),
+            (533.0, 4, 8),
+            (533.0, 8, 8),
+        ):
+            config = replace(
+                case.config.with_frequency(freq),
+                queue=CommandQueueModel(depth=depth),
+            )
+            depths.clear()
+            violations = check_frfcfs_degeneracy(replace(case, config=config))
+            assert violations == [], "\n".join(v.describe() for v in violations)
+            assert depths == [held_at]
 
     def test_names_the_diverging_fields(self, monkeypatch):
         from repro.controller import frfcfs
