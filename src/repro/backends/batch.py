@@ -35,9 +35,10 @@ three steps:
 
 3. **One closed-form body per segment visit.**  Each visit runs the
    reference engine's refresh and row-management blocks once, takes
-   the head access's column time as the max of every bound
-   (``col_ready``, the command-queue floor, the read/write turnaround
-   and ``bus_free - latency``), and then issues the head and the rest
+   the head access's column time as the max of every bound (the
+   command bus or the command-queue floor on a row hit, tRCD after
+   the activate on a miss, the segment's read/write turnaround and
+   ``bus_free - latency``), and then issues the head and the rest
    of the segment by the recurrence's cumulative-sum closed form
    (``ds(i) = base + i*burst + (ovh_acc + i*ovh_per) >> ovh_shift``
    from ``base = head + latency``) in O(1).  Past the head nothing but
@@ -245,10 +246,14 @@ class BatchChannelEngine(ChannelEngine):
         holds it (a split hashes each channel once for all its
         clocks); without it the runs are hashed here.
 
-        Each segment visit is one body: the reference engine's
-        refresh, command-queue and row-management blocks (kept
-        textually in sync with it), the head's column time as the max
-        of every bound, then the head and the segment's remaining
+        Each segment fixes its direction once: latency, turnaround
+        floor and precharge offset before its visits, its last data
+        end after them.  Each segment visit is one body: the reference
+        engine's refresh, command-queue and row-management blocks
+        (kept textually in sync with it, down to the bookkeeping both
+        leave out where it provably never binds), the head's column
+        time as the max of every bound, then the head and the
+        segment's remaining
         accesses in closed form -- capped at the next refresh
         deadline and, where the command queue can bind, before the
         first access whose queue floor would stall it.  Command
@@ -285,7 +290,6 @@ class BatchChannelEngine(ChannelEngine):
         open_row = [NO_OPEN_ROW] * nbanks
         act_ready = [0] * nbanks
         pre_ready = [0] * nbanks
-        col_ready = [0] * nbanks
 
         cmd_free = 0
         bus_free = 0
@@ -296,6 +300,7 @@ class BatchChannelEngine(ChannelEngine):
         next_ref = t_refi
         faw_hist = [-(10**9)] * 4
         faw_idx = 0
+        faw_live = timing.faw_can_bind(nbanks)
 
         ovh_per = self.interconnect.overhead_fixed_point
         ovh_acc = 0
@@ -346,12 +351,14 @@ class BatchChannelEngine(ChannelEngine):
                     bus_free = arrival
 
             if op == 0:
-                is_read = True
                 lat = cas
+                turn = last_wr_end + t_wtr
+                pre_off = burst  # read-to-precharge (tRTP ~ BL/2)
                 const_ok = const_ok_rd
             else:
-                is_read = False
                 lat = wl
+                turn = last_rd_end + rtw_gap - wl
+                pre_off = wl + burst + t_wr  # write recovery
                 const_ok = const_ok_wr
 
             left = count
@@ -391,12 +398,13 @@ class BatchChannelEngine(ChannelEngine):
                         n_ref += 1
                         next_ref += t_refi
 
-                t0 = cmd_free
+                # t: the earliest cycle of this visit's next command.
+                t = cmd_free
                 # --- command-queue bound (dead unless queue_live) -----
                 if queue_live:
                     floor = ring[ring_i]
-                    if floor > t0:
-                        t0 = floor
+                    if floor > t:
+                        t = floor
                         n_qstall += 1
 
                 # --- row management -----------------------------------
@@ -405,60 +413,46 @@ class BatchChannelEngine(ChannelEngine):
                     if orow != NO_OPEN_ROW:
                         n_conflict += 1
                         tpre = pre_ready[bnk]
-                        if tpre < t0:
-                            tpre = t0
-                        if tpre < cmd_free:
-                            tpre = cmd_free
-                        cmd_free = tpre + 1
+                        if tpre < t:
+                            tpre = t
                         n_pre += 1
                         last_pre_any = tpre
                         tact = tpre + t_rp
                         if act_ready[bnk] > tact:
                             tact = act_ready[bnk]
                     else:
-                        tact = t0
+                        tact = t
                         if act_ready[bnk] > tact:
                             tact = act_ready[bnk]
                     rrd_floor = last_act_any + t_rrd
                     if rrd_floor > tact:
                         tact = rrd_floor
-                    faw_floor = faw_hist[faw_idx] + t_faw
-                    if faw_floor > tact:
-                        tact = faw_floor
-                    if tact < cmd_free:
-                        tact = cmd_free
-                    cmd_free = tact + 1
-                    faw_hist[faw_idx] = tact
-                    faw_idx = (faw_idx + 1) & 3
+                    if faw_live:
+                        faw_floor = faw_hist[faw_idx] + t_faw
+                        if faw_floor > tact:
+                            tact = faw_floor
+                        faw_hist[faw_idx] = tact
+                        faw_idx = (faw_idx + 1) & 3
                     last_act_any = tact
                     act_ready[bnk] = tact + t_rc
                     pre_ready[bnk] = tact + t_ras
-                    col_ready[bnk] = tact + t_rcd
                     open_row[bnk] = row
                     n_act += 1
+                    t = tact + t_rcd
 
                 # --- head column command: the max of every bound ------
-                t = col_ready[bnk]
-                if t < t0:
-                    t = t0
-                if is_read:
-                    f = last_wr_end + t_wtr
-                else:
-                    f = last_rd_end + rtw_gap - wl
-                if f > t:
-                    t = f
+                if turn > t:
+                    t = turn
                 f = bus_free - lat
                 if f > t:
                     t = f
-                if t < cmd_free:
-                    t = cmd_free
                 base = t + lat
 
                 # --- how many accesses the closed form covers ---------
                 # Access a >= 2 of the batch finds its row open and every
                 # other bound dominated by its data-bus bound (that bound
-                # grows by >= burst >= 1 per access while col_ready and
-                # the turnaround bound stay at most the head's time), so
+                # grows by >= burst >= 1 per access while the turnaround
+                # bound stays at most the head's time), so
                 # only a refresh deadline or a queue floor can break the
                 # recurrence.  Refresh cap: access a issues with cmd_free
                 # = busfree(a-2) - lat + 1, which must stay below
@@ -515,16 +509,14 @@ class BatchChannelEngine(ChannelEngine):
                 bus_free = base + n * burst + (total >> ovh_shift)
                 ovh_acc = total & ovh_mask
                 cmd_free = t + 1
-                if is_read:
-                    last_rd_end = t + cas + burst
-                    f = t + burst  # read-to-precharge (tRTP ~ BL/2)
-                else:
-                    de = t + wl + burst
-                    last_wr_end = de
-                    f = de + t_wr  # write recovery before precharge
+                f = t + pre_off
                 if f > pre_ready[bnk]:
                     pre_ready[bnk] = f
                 left -= n
+            if op == 0:
+                last_rd_end = t + lat + burst
+            else:
+                last_wr_end = t + lat + burst
 
         finish = bus_free if bus_free > cmd_free else cmd_free
 

@@ -26,6 +26,9 @@ Scheduling model
   still draining, bounded by the command-queue depth
   (:class:`repro.controller.queue.CommandQueueModel`), whose ring is
   skipped wherever its ``can_bind`` proof says the bound cannot bind.
+- The four-activate window (tFAW) is enforced wherever
+  :meth:`~repro.dram.timing.TimingCycles.faw_can_bind` says tRRD and
+  tRC do not already imply it.
 - The data bus is seamless for same-direction bursts; direction
   switches pay the write-to-read (tWTR) and read-to-write turnaround
   gaps.
@@ -373,8 +376,12 @@ class ChannelEngine:
         ``(bank, row)`` decode, once per aligned block of a run; each
         run's latency, turnaround floor, precharge offset, column
         command and read/write tally, once per run (a run has one
-        direction and leaves the other's last data end alone); and the
-        command-queue ring wherever ``queue.can_bind`` rules it out.
+        direction and leaves the other's last data end alone); the
+        command-queue ring wherever ``queue.can_bind`` rules it out;
+        and the tFAW history wherever ``timing.faw_can_bind`` does.
+        ``cmd_free`` never falls and PRE, ACT and column are >= 1
+        cycle apart, so no command needs a ``cmd_free`` clamp, and a
+        row hit (its ACT's column already issued) needs no tRCD check.
         """
         if self.check_invariants and command_log is None:
             command_log = []
@@ -409,7 +416,6 @@ class ChannelEngine:
         open_row = [NO_OPEN_ROW] * nbanks
         act_ready = [0] * nbanks
         pre_ready = [0] * nbanks
-        col_ready = [0] * nbanks
         bank_accesses = [0] * nbanks
 
         closed_page = not self.page_policy.keeps_rows_open
@@ -424,10 +430,12 @@ class ChannelEngine:
         t_faw = timing.t_faw
         faw_hist = [-(10**9)] * 4  # last four ACT cycles (tFAW window)
         faw_idx = 0
+        faw_live = timing.faw_can_bind(nbanks)
 
         ovh_per = self.interconnect.overhead_fixed_point
         ovh_acc = 0
-        ovh_mask = OVERHEAD_SCALE - 1
+        ovh_scale = OVERHEAD_SCALE
+        ovh_mask = ovh_scale - 1
         ovh_shift = OVERHEAD_SHIFT
 
         qdepth = self.queue.depth
@@ -538,12 +546,13 @@ class ChannelEngine:
                             n_ref += 1
                             next_ref += t_refi
 
-                    t0 = cmd_free
+                    # t: the earliest cycle of this burst's next command.
+                    t = cmd_free
                     # --- command-queue bound (dead unless queue_live) -
                     if queue_live:
                         floor = ring[ring_i]
-                        if floor > t0:
-                            t0 = floor
+                        if floor > t:
+                            t = floor
                             n_qstall += 1
 
                     # --- row management -------------------------------
@@ -552,11 +561,8 @@ class ChannelEngine:
                         if orow != NO_OPEN_ROW:
                             n_conflict += 1
                             tpre = pre_ready[bank]
-                            if tpre < t0:
-                                tpre = t0
-                            if tpre < cmd_free:
-                                tpre = cmd_free
-                            cmd_free = tpre + 1
+                            if tpre < t:
+                                tpre = t
                             n_pre += 1
                             last_pre_any = tpre
                             if log_append is not None:
@@ -565,40 +571,33 @@ class ChannelEngine:
                             if act_ready[bank] > tact:
                                 tact = act_ready[bank]
                         else:
-                            tact = t0
+                            tact = t
                             if act_ready[bank] > tact:
                                 tact = act_ready[bank]
                         rrd_floor = last_act_any + t_rrd
                         if rrd_floor > tact:
                             tact = rrd_floor
-                        faw_floor = faw_hist[faw_idx] + t_faw
-                        if faw_floor > tact:
-                            tact = faw_floor
-                        if tact < cmd_free:
-                            tact = cmd_free
-                        cmd_free = tact + 1
-                        faw_hist[faw_idx] = tact
-                        faw_idx = (faw_idx + 1) & 3
+                        if faw_live:
+                            faw_floor = faw_hist[faw_idx] + t_faw
+                            if faw_floor > tact:
+                                tact = faw_floor
+                            faw_hist[faw_idx] = tact
+                            faw_idx = (faw_idx + 1) & 3
                         if log_append is not None:
                             log_append(CommandRecord(tact, Command.ACTIVATE, bank, row))
                         last_act_any = tact
                         act_ready[bank] = tact + t_rc
                         pre_ready[bank] = tact + t_ras
-                        col_ready[bank] = tact + t_rcd
                         open_row[bank] = row
                         n_act += 1
+                        t = tact + t_rcd
 
                     # --- column command -------------------------------
-                    t = col_ready[bank]
-                    if t < t0:
-                        t = t0
                     if turn > t:
                         t = turn
                     f = bus_free - lat
                     if f > t:
                         t = f
-                    if t < cmd_free:
-                        t = cmd_free
                     cmd_free = t + 1
                     if log_append is not None:
                         log_append(CommandRecord(t, col_cmd, bank, row))
@@ -610,7 +609,7 @@ class ChannelEngine:
                     # --- interconnect overhead ------------------------
                     de = ds + burst
                     ovh_acc += ovh_per
-                    if ovh_acc >= OVERHEAD_SCALE:
+                    if ovh_acc >= ovh_scale:
                         de += ovh_acc >> ovh_shift
                         ovh_acc &= ovh_mask
                     bus_free = de

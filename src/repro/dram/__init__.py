@@ -9,7 +9,7 @@ whose interface clock spans 200-533 MHz.  It provides:
   extrapolation,
 - :mod:`repro.dram.datasheet` -- the calibrated base parameter/current
   sets (the paper's Micron Mobile DDR extrapolation),
-- :mod:`repro.dram.device` -- bank-cluster geometry and bank state,
+- :mod:`repro.dram.device` -- bank-cluster geometry,
 - :mod:`repro.dram.refresh` -- refresh parameters,
 - :mod:`repro.dram.powerstate` -- power-down policies,
 - :mod:`repro.dram.power` -- the current-integration power model.
@@ -23,7 +23,7 @@ from repro.dram.datasheet import (
     next_gen_mobile_ddr,
     NEXT_GEN_MOBILE_DDR,
 )
-from repro.dram.device import BankClusterGeometry, BankState
+from repro.dram.device import BankClusterGeometry
 from repro.dram.refresh import RefreshParameters
 from repro.dram.powerstate import (
     PowerDownPolicy,
@@ -46,7 +46,6 @@ __all__ = [
     "next_gen_mobile_ddr",
     "NEXT_GEN_MOBILE_DDR",
     "BankClusterGeometry",
-    "BankState",
     "RefreshParameters",
     "PowerDownPolicy",
     "ImmediatePowerDown",

@@ -1,16 +1,15 @@
-"""Bank-cluster geometry and per-bank state.
+"""Bank-cluster geometry.
 
 The paper's memory subsystem has *M* parallel channels; each channel
 ends in a **bank cluster** -- "one or more memory banks" with a total
 capacity of 512 Mb, four banks, and a 32-bit data word (Section III).
-This module describes that geometry and the mutable run-time state of
-each bank the controller engine updates.
+This module describes that geometry; the engines keep per-bank state
+in plain lists.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
 
 from repro.errors import AddressError, ConfigurationError
 
@@ -94,49 +93,5 @@ class BankClusterGeometry:
             )
 
 
-#: Sentinel for "no row open" in :class:`BankState`.
+#: Sentinel for "no row open" in the engines' per-bank ``open_row`` lists.
 NO_OPEN_ROW = -1
-
-
-@dataclass
-class BankState:
-    """Mutable run-time state of one DRAM bank.
-
-    Times are in channel clock cycles.  The controller engine consults
-    and updates these fields when enforcing inter-command constraints;
-    they deliberately stay plain attributes (no properties) to keep the
-    hot loop cheap.
-    """
-
-    #: Currently open row, or :data:`NO_OPEN_ROW`.
-    open_row: int = NO_OPEN_ROW
-    #: Cycle at which the last ACTIVATE was issued.
-    last_activate: int = -(10**9)
-    #: Earliest cycle a PRECHARGE may be issued (tRAS / tWR / read-to-
-    #: precharge constraints folded in by the engine).
-    precharge_ready: int = 0
-    #: Earliest cycle an ACTIVATE may be issued (tRP / tRC folded in).
-    activate_ready: int = 0
-    #: Earliest cycle a column command (RD/WR) may be issued (tRCD).
-    column_ready: int = 0
-
-    def is_open(self) -> bool:
-        """Whether the bank currently holds an open row."""
-        return self.open_row != NO_OPEN_ROW
-
-    def close(self) -> None:
-        """Mark the bank's page closed (after PRE / PREA / REF)."""
-        self.open_row = NO_OPEN_ROW
-
-    def reset(self) -> None:
-        """Return to the power-on state."""
-        self.open_row = NO_OPEN_ROW
-        self.last_activate = -(10**9)
-        self.precharge_ready = 0
-        self.activate_ready = 0
-        self.column_ready = 0
-
-
-def make_bank_states(geometry: BankClusterGeometry) -> List[BankState]:
-    """Create the per-bank state list for a bank cluster."""
-    return [BankState() for _ in range(geometry.banks)]

@@ -124,15 +124,18 @@ class TimingParameters:
 
         Implements the paper's extrapolation rule: nanosecond
         parameters are converted with ceiling division by the clock
-        period; cycle parameters pass through unchanged.
+        period; cycle parameters pass through unchanged.  tRCD, tRP and
+        tRRD are at least one cycle however short their positive
+        nanosecond value: the engines issue PRE, ACT and the column
+        command on distinct cycles on that premise.
         """
         self.validate_frequency(freq_mhz)
         tck = clock_period_ns(freq_mhz)
         return TimingCycles(
             freq_mhz=freq_mhz,
             t_ck_ns=tck,
-            t_rcd=ns_to_cycles(self.t_rcd_ns, freq_mhz),
-            t_rp=ns_to_cycles(self.t_rp_ns, freq_mhz),
+            t_rcd=max(1, ns_to_cycles(self.t_rcd_ns, freq_mhz)),
+            t_rp=max(1, ns_to_cycles(self.t_rp_ns, freq_mhz)),
             t_ras=ns_to_cycles(self.t_ras_ns, freq_mhz),
             t_rc=ns_to_cycles(self.t_rc_ns, freq_mhz),
             t_rrd=max(1, ns_to_cycles(self.t_rrd_ns, freq_mhz)),
@@ -183,6 +186,21 @@ class TimingCycles:
         """Unhidden cycles added by a precharge+activate sequence
         relative to a row hit (ignoring overlap with other banks)."""
         return self.t_rp + self.t_rcd
+
+    def faw_can_bind(self, banks: int) -> bool:
+        """Whether the four-activate window can ever delay an ACTIVATE
+        of an in-order engine on a device with ``banks`` banks.
+
+        Each ACT issues at least ``t_rrd`` after the one before it, so
+        ``ACT(n) >= ACT(n-4) + 4*t_rrd``.  Each ACT on a bank issues at
+        least ``t_rc`` after the previous ACT on that bank; with at most
+        four banks two of any five consecutive ACTs share a bank, so
+        ``ACT(n) >= ACT(n-4) + t_rc`` as well.  The window floor
+        ``ACT(n-4) + t_faw`` can bind only past both bounds.  Where it
+        cannot, an engine may skip its ACT history with no effect on any
+        result or issued command.
+        """
+        return self.t_faw > 4 * self.t_rrd and (banks > 4 or self.t_faw > self.t_rc)
 
     def cycles_to_ns(self, cycles: float) -> float:
         """Convert a cycle count at this frequency to nanoseconds."""

@@ -16,12 +16,14 @@ The batch engine issues every segment visit as one closed-form body
 whose head takes the max of all its bounds; the identity classes at
 the end pin the cases that body must get right beyond the default
 queue on unpaced traffic: a live command queue, idle gaps under every
-power-down policy, heads held by a turnaround or by ``col_ready``
-after an activate, and a refresh deadline inside a segment.
+power-down policy, heads held by a turnaround or by tRCD after an
+activate, and a refresh deadline inside a segment.
 
-Two classes hold what parity with batch cannot: the digest of the
+Three classes hold what parity with batch cannot: the digest of the
 reference's own command log, pinned across clock, queue depth and page
-policy, and a witness for the queue proof both exact engines share.
+policy, and witnesses for the queue and tFAW proofs both exact engines
+share.  A last class runs both engines where tFAW does bind, on an
+eight-bank device, against FR-FCFS and the protocol checker.
 """
 
 import hashlib
@@ -30,6 +32,8 @@ from dataclasses import fields, replace
 import pytest
 
 from repro.controller.engine import ChannelResult
+from repro.controller.frfcfs import ReorderingChannelEngine
+from repro.controller.interconnect import InterconnectModel
 from repro.controller.pagepolicy import PagePolicy
 from repro.controller.queue import CommandQueueModel
 from repro.core.channel import Channel
@@ -37,10 +41,12 @@ from repro.core.config import PAPER_FREQUENCIES_MHZ, SystemConfig
 from repro.core.system import MultiChannelMemorySystem
 from repro.dram.commands import Command
 from repro.dram.powerstate import ImmediatePowerDown, NoPowerDown, TimeoutPowerDown
+from repro.dram.timing import TimingCycles
 from repro.load.model import VideoRecordingLoadModel
 from repro.load.scaling import choose_scale
 from repro.usecase.levels import level_by_name
 from repro.usecase.pipeline import VideoRecordingUseCase
+from tests.dram.test_custom_device import make_eight_bank_device
 
 #: Simulated-burst budget for parity runs: small enough to keep the
 #: suite quick, large enough that every config sees refresh windows,
@@ -416,3 +422,87 @@ class TestQueueProofWitness:
         _assert_identical(normal, forced)
         if not live:
             assert forced.queue_stalls == 0
+
+
+@pytest.mark.parametrize("backend", ["reference", *EXACT_BACKENDS])
+@pytest.mark.parametrize("traffic", ["frame", "paced"])
+@pytest.mark.parametrize("depth", [1, 8])
+@pytest.mark.parametrize("freq", PAPER_FREQUENCIES_MHZ)
+class TestFawProofWitness:
+    """Both exact engines skip the tFAW history on the same proof,
+    ``TimingCycles.faw_can_bind``, which rules the window out on the
+    paper's device at every clock.  Forcing it on must change
+    nothing."""
+
+    def test_forced_window_changes_nothing(
+        self, monkeypatch, freq, depth, traffic, backend
+    ):
+        config = SystemConfig(
+            channels=1,
+            freq_mhz=freq,
+            queue=CommandQueueModel(depth=depth),
+            backend=backend,
+        )
+        timing = config.device.timing.at_frequency(freq)
+        assert not timing.faw_can_bind(config.device.geometry.banks)
+        runs = _frame_runs() if traffic == "frame" else _paced_runs()
+        normal = Channel(config).run(runs)
+        monkeypatch.setattr(TimingCycles, "faw_can_bind", lambda self, banks: True)
+        forced = Channel(config).run(runs)
+        _assert_identical(normal, forced)
+
+
+def _activate_storm():
+    """One- and two-burst runs rotating over the eight banks and
+    sixteen rows of the eight-bank device (2 KB rows: bank = chunk >> 7
+    & 7, row = chunk >> 10), mixed reads and writes: every run opens a
+    row, so activates crowd the four-activate window."""
+    runs = []
+    for i in range(256):
+        bank = (3 * i) % 8
+        row = (i // 8) % 16
+        start = row * 1024 + bank * 128 + (i % 3) * 8
+        runs.append(((i // 5) % 2, start, 2 if i % 4 == 3 else 1))
+    return runs
+
+
+@pytest.mark.parametrize("freq", PAPER_FREQUENCIES_MHZ)
+class TestFawBindingIdentity:
+    """Where tFAW can bind, both exact engines must still agree with
+    each other, with FR-FCFS at a one-entry window (which keeps its own
+    tRCD and tFAW bookkeeping) and with the protocol checker."""
+
+    def test_engines_agree_where_tfaw_binds(self, monkeypatch, freq):
+        device = make_eight_bank_device()
+        config = SystemConfig(
+            channels=1,
+            freq_mhz=freq,
+            device=device,
+            interconnect=InterconnectModel(0.0),
+        )
+        timing = device.timing.at_frequency(freq)
+        assert timing.faw_can_bind(device.geometry.banks)
+        assert not config.queue.can_bind(timing)
+        runs = _activate_storm()
+        log = []
+        ref = Channel(config.with_backend("reference")).run(runs, command_log=log)
+        _assert_identical(ref, Channel(config.with_backend("batch")).run(runs))
+        frfcfs = ReorderingChannelEngine(
+            device, freq, interconnect=config.interconnect, window=1
+        )
+        _assert_identical(ref, frfcfs.run(runs))
+        engine = Channel(config).simulator
+        assert engine.make_checker().check(log) == []
+        acts = [rec.cycle for rec in log if rec.command is Command.ACTIVATE]
+        held = [
+            k
+            for k in range(4, len(acts))
+            if acts[k] == acts[k - 4] + timing.t_faw
+            and acts[k] > acts[k - 1] + timing.t_rrd
+        ]
+        assert held, "no ACTIVATE was held by the four-activate window"
+        # Without the window the same stream activates earlier.
+        monkeypatch.setattr(TimingCycles, "faw_can_bind", lambda self, banks: False)
+        unbound = []
+        Channel(config.with_backend("reference")).run(runs, command_log=unbound)
+        assert [r.cycle for r in unbound if r.command is Command.ACTIVATE] != acts

@@ -5,8 +5,9 @@ x32 part.  This suite builds an eight-bank device with 2 KB rows and
 different currents, and drives it through the engine, the protocol
 checker, the interleaver, the power model and a full use-case
 simulation.  Eight banks also make the four-activate window (tFAW)
-*bindable* — on the 4-bank default, tRC always dominates it — so this
-is where tFAW's enforcement is genuinely exercised.
+*bindable* — on the 4-bank default ``TimingCycles.faw_can_bind`` proves
+tRC and tRRD imply it, and the engines skip it — so this is where
+tFAW's enforcement is genuinely exercised.
 """
 
 import pytest

@@ -1,15 +1,10 @@
-"""Tests for bank-cluster geometry and bank state."""
+"""Tests for bank-cluster geometry."""
 
 import dataclasses
 
 import pytest
 
-from repro.dram.device import (
-    NO_OPEN_ROW,
-    BankClusterGeometry,
-    BankState,
-    make_bank_states,
-)
+from repro.dram.device import BankClusterGeometry
 from repro.dram.datasheet import NEXT_GEN_MOBILE_DDR
 from repro.errors import AddressError, ConfigurationError
 
@@ -67,31 +62,3 @@ class TestValidation:
             GEO.check_local_address(GEO.capacity_bytes)
         with pytest.raises(AddressError):
             GEO.check_local_address(-1)
-
-
-class TestBankState:
-    def test_starts_closed(self):
-        state = BankState()
-        assert not state.is_open()
-        assert state.open_row == NO_OPEN_ROW
-
-    def test_open_close(self):
-        state = BankState()
-        state.open_row = 42
-        assert state.is_open()
-        state.close()
-        assert not state.is_open()
-
-    def test_reset(self):
-        state = BankState()
-        state.open_row = 7
-        state.column_ready = 100
-        state.reset()
-        assert not state.is_open()
-        assert state.column_ready == 0
-
-    def test_make_bank_states_independent(self):
-        states = make_bank_states(GEO)
-        assert len(states) == 4
-        states[0].open_row = 1
-        assert states[1].open_row == NO_OPEN_ROW

@@ -5,7 +5,12 @@ import dataclasses
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.dram.datasheet import NEXT_GEN_MOBILE_DDR
+from repro.dram.datasheet import (
+    NEXT_GEN_MOBILE_DDR,
+    contemporary_mobile_ddr,
+    next_gen_mobile_ddr,
+    standard_ddr2,
+)
 from repro.dram.timing import TimingParameters
 from repro.errors import ConfigurationError
 
@@ -142,3 +147,37 @@ class TestFourActivateWindow:
     def test_tfaw_validated(self):
         with pytest.raises(ConfigurationError):
             dataclasses.replace(TIMING, t_faw_ns=0.0)
+
+    @pytest.mark.parametrize(
+        "device",
+        [next_gen_mobile_ddr(), contemporary_mobile_ddr(), standard_ddr2()],
+        ids=lambda device: device.name,
+    )
+    def test_window_cannot_bind_on_shipped_devices(self, device):
+        # Every clock the device supports, in whole MHz.
+        timing = device.timing
+        lo, hi = int(timing.f_min_mhz), int(timing.f_max_mhz)
+        for freq in range(lo, hi + 1):
+            cycles = timing.at_frequency(float(freq))
+            assert not cycles.faw_can_bind(device.geometry.banks), freq
+
+    def test_faw_can_bind_algebra(self):
+        t = TIMING.at_frequency(400.0)
+        replace = dataclasses.replace
+        # tRRD alone implies the window: 4 * tRRD >= tFAW, any bank count.
+        assert not replace(t, t_faw=4 * t.t_rrd, t_rc=1).faw_can_bind(16)
+        # Four banks: tRC implies it too.
+        assert not replace(t, t_faw=t.t_rc, t_rrd=1).faw_can_bind(4)
+        assert replace(t, t_faw=t.t_rc + 1, t_rrd=1).faw_can_bind(4)
+        # Five banks break the pigeonhole; tRC no longer implies it.
+        assert replace(t, t_faw=t.t_rc, t_rrd=1).faw_can_bind(5)
+        assert not replace(t, t_faw=4, t_rrd=1).faw_can_bind(5)
+
+    def test_premise_cycles_at_least_one(self):
+        # A positive but sub-picosecond tRCD/tRP still resolves to one
+        # cycle, so PRE, ACT and the column never share a cycle.
+        tiny = dataclasses.replace(
+            TIMING, t_rcd_ns=1e-12, t_rp_ns=1e-12, t_rrd_ns=1e-12
+        )
+        t = tiny.at_frequency(533.0)
+        assert t.t_rcd == t.t_rp == t.t_rrd == 1

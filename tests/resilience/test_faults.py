@@ -263,6 +263,21 @@ class TestRuntimeInvariantChecker:
         # The offending command history rides along for post-mortem.
         assert "last" in message and "ACT" in message
 
+    def test_zeroed_trcd_is_caught(self):
+        # A zero tRCD is outside the engines' premise (every cycle count
+        # derived from a datasheet is >= 1): the column then issues on
+        # its ACT's own cycle, which the checker must still flag.
+        config = SystemConfig()
+        engine = ChannelEngine(
+            device=config.device, freq_mhz=400.0, check_invariants=True
+        )
+        faults.corrupt_engine_timing(engine, "t_rcd", -engine.timing.t_rcd)
+        assert engine.timing.t_rcd == 0
+        with pytest.raises(ProtocolError) as excinfo:
+            engine.run(_two_rows_same_bank(engine))
+        message = str(excinfo.value)
+        assert "tRCD" in message and "command-bus" in message
+
     def test_corrupted_trp_is_caught(self):
         config = SystemConfig()
         engine = ChannelEngine(
