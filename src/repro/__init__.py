@@ -104,7 +104,6 @@ _LAZY_ATTRS = {
     "RealTimeVerdict": "repro.analysis",
     "realtime_verdict": "repro.analysis",
     "compare_energy_strategies": "repro.analysis",
-    "conclusions_summary": "repro.analysis",
     "find_minimum_power_configuration": "repro.analysis",
     "minimum_channels": "repro.analysis",
     "stage_breakdown": "repro.analysis",
@@ -157,7 +156,6 @@ __all__ = [
     "RealTimeVerdict",
     "realtime_verdict",
     "compare_energy_strategies",
-    "conclusions_summary",
     "find_minimum_power_configuration",
     "minimum_channels",
     "stage_breakdown",

@@ -1,20 +1,19 @@
 """Analysis harness: experiment runners for every paper table/figure.
 
 - :mod:`repro.analysis.realtime` -- real-time requirement verdicts,
-- :mod:`repro.analysis.tables` -- plain-text table/series formatting,
+- :mod:`repro.analysis.tables` -- plain-text table formatting,
 - :mod:`repro.analysis.sweep` -- configuration sweep machinery,
 - :mod:`repro.analysis.experiments` -- Table I/II, Fig. 3/4/5 and XDR
   experiment runners.
 """
 
 from repro.analysis.realtime import RealTimeVerdict, realtime_verdict
-from repro.analysis.tables import format_table, format_kv
+from repro.analysis.tables import format_table
 from repro.analysis.sweep import SweepPoint, simulate_use_case, sweep_use_case
 from repro.analysis.breakdown import StageBreakdown, StageCost, stage_breakdown
 from repro.analysis.explorer import (
     EnergyStrategyComparison,
     compare_energy_strategies,
-    conclusions_summary,
     find_minimum_power_configuration,
     minimum_channels,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "stage_breakdown",
     "EnergyStrategyComparison",
     "compare_energy_strategies",
-    "conclusions_summary",
     "find_minimum_power_configuration",
     "minimum_channels",
     "export_fig3",
@@ -89,7 +87,6 @@ __all__ = [
     "sweep_queue_depth",
     "sweep_reference_frames",
     "format_table",
-    "format_kv",
     "SweepPoint",
     "simulate_use_case",
     "sweep_use_case",

@@ -20,7 +20,7 @@ producing the ASCII rendition the CLI and the benchmarks print.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -28,8 +28,6 @@ from repro.analysis.realtime import RealTimeVerdict
 from repro.analysis.sweep import (
     SweepPoint,
     channel_sweep_configs,
-    frequency_sweep_configs,
-    simulate_use_case,
     sweep_use_case,
 )
 from repro.analysis.tables import format_table

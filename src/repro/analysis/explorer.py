@@ -19,7 +19,7 @@ queries over the simulator:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from repro.analysis.realtime import PAPER_MARGIN, RealTimeVerdict
 from repro.analysis.sweep import SweepPoint, simulate_use_case, sweep_use_case
@@ -39,7 +39,6 @@ from repro.parallel import resolve_workers
 from repro.power.report import compute_frame_power
 from repro.telemetry.session import Telemetry
 from repro.usecase.levels import H264Level
-from repro.usecase.pipeline import VideoRecordingUseCase
 from repro.workloads.registry import WorkloadLike, resolve_workload
 
 
@@ -299,29 +298,3 @@ def compare_energy_strategies(
         just_in_time_energy_j=jit.energy_per_frame_j,
         just_in_time_access_ms=jit.access_time_ms,
     )
-
-
-def conclusions_summary(
-    frequencies_mhz: float = 400.0,
-    chunk_budget: int = DEFAULT_CHUNK_BUDGET,
-    workers: Optional[int] = None,
-    backend: Optional[str] = None,
-    workload: WorkloadLike = None,
-    telemetry: Optional[Telemetry] = None,
-) -> Dict[str, Optional[int]]:
-    """The paper's Section V summary as data: minimum channels per
-    level at 400 MHz."""
-    from repro.usecase.levels import PAPER_LEVELS
-
-    return {
-        level.name: minimum_channels(
-            level,
-            freq_mhz=frequencies_mhz,
-            chunk_budget=chunk_budget,
-            workers=workers,
-            backend=backend,
-            workload=workload,
-            telemetry=telemetry,
-        )
-        for level in PAPER_LEVELS
-    }

@@ -702,10 +702,3 @@ def channel_sweep_configs(
 ) -> List[SystemConfig]:
     """Clone ``base`` across channel counts."""
     return [base.with_channels(m) for m in channel_counts]
-
-
-def frequency_sweep_configs(
-    base: SystemConfig, frequencies_mhz: Iterable[float]
-) -> List[SystemConfig]:
-    """Clone ``base`` across interface clocks."""
-    return [base.with_frequency(f) for f in frequencies_mhz]

@@ -1,4 +1,4 @@
-"""Plain-text table and key/value formatting for experiment reports.
+"""Plain-text table formatting for experiment reports.
 
 The benchmarks and the CLI print the regenerated paper artifacts as
 aligned ASCII tables; no plotting dependency is required to inspect
@@ -7,7 +7,7 @@ any result.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Mapping, Sequence
+from typing import Sequence
 
 from repro.errors import ConfigurationError
 
@@ -48,30 +48,3 @@ def format_table(
         lines.append("  ".join("-" * w for w in cols))
     lines.extend(_fmt(row) for row in rows[1:])
     return "\n".join(lines)
-
-
-def format_kv(pairs: Mapping[str, object], title: str = "") -> str:
-    """Render a mapping as aligned ``key: value`` lines."""
-    if not pairs:
-        raise ConfigurationError("cannot format an empty mapping")
-    width = max(len(str(k)) for k in pairs)
-    lines = [f"{title}" ] if title else []
-    lines.extend(f"{str(k).ljust(width)} : {v}" for k, v in pairs.items())
-    return "\n".join(lines)
-
-
-def format_series(
-    x_label: str,
-    x_values: Sequence[object],
-    series: Mapping[str, Sequence[object]],
-) -> str:
-    """Render figure-style data: one x column plus one column per series."""
-    for name, values in series.items():
-        if len(values) != len(x_values):
-            raise ConfigurationError(
-                f"series {name!r} has {len(values)} points, expected {len(x_values)}"
-            )
-    rows: List[List[str]] = [[x_label] + list(series.keys())]
-    for i, x in enumerate(x_values):
-        rows.append([str(x)] + [str(series[name][i]) for name in series])
-    return format_table(rows)

@@ -70,8 +70,8 @@ class CurrentSet:
     idd4w_ma: float
     #: IDD5: auto-refresh current averaged over tRFC.
     idd5_ma: float
-    #: IDD6: self refresh (unused by the evaluated policies, kept for
-    #: completeness and the extension experiments).
+    #: IDD6: self refresh (no model here uses it; kept so each
+    #: datasheet's current table is complete).
     idd6_ma: float
 
     def __post_init__(self) -> None:
@@ -123,29 +123,6 @@ class DeviceDescriptor:
     def __post_init__(self) -> None:
         if self.core_voltage_v <= 0 or self.io_voltage_v <= 0:
             raise ConfigurationError("supply voltages must be positive")
-
-    def at_temperature(self, temperature_c: float) -> "DeviceDescriptor":
-        """Return this device derated for a die temperature.
-
-        Above 85 degC the refresh interval halves (see
-        :meth:`repro.dram.refresh.RefreshParameters.derated`), doubling
-        the refresh duty in both the timing engine and the power
-        model.  At or below the threshold, returns ``self``.
-        """
-        derated = self.refresh.derated(temperature_c)
-        if derated is self.refresh:
-            return self
-        import dataclasses
-
-        timing = dataclasses.replace(
-            self.timing, t_refi_ns=derated.interval_ns
-        )
-        return dataclasses.replace(
-            self,
-            name=f"{self.name}@{temperature_c:g}C",
-            timing=timing,
-            refresh=derated,
-        )
 
     def peak_bandwidth_bytes_per_s(self, freq_mhz: float) -> float:
         """Theoretical peak data bandwidth of one channel in bytes/s.

@@ -1,4 +1,4 @@
-"""Refresh parameters and bookkeeping.
+"""Refresh parameters of a device.
 
 Section III: *"The memory controller takes also care of the data
 refresh, done periodically for all DRAM banks."*  The evaluated device
@@ -33,43 +33,3 @@ class RefreshParameters:
             raise ConfigurationError(
                 f"refresh interval must be positive, got {self.interval_ns}"
             )
-
-    def commands_in(self, duration_ns: float) -> int:
-        """Number of refresh commands due within ``duration_ns``."""
-        if duration_ns <= 0:
-            return 0
-        return int(duration_ns / self.interval_ns)
-
-    def duty_fraction(self, t_rfc_ns: float) -> float:
-        """Fraction of time the device spends refreshing.
-
-        This is the steady-state bandwidth loss caused by refresh:
-        about 0.9 % for tRFC = 72 ns and tREFI = 7.8 us.
-        """
-        if t_rfc_ns < 0:
-            raise ConfigurationError("t_rfc_ns must be non-negative")
-        return t_rfc_ns / self.interval_ns
-
-    #: Die temperature above which mobile DRAMs halve the refresh
-    #: interval (cell leakage roughly doubles per ~10 degC).
-    HOT_THRESHOLD_C = 85.0
-
-    def derated(self, temperature_c: float) -> "RefreshParameters":
-        """Refresh parameters at a die temperature.
-
-        Mobile DDR devices (and every LPDDR generation after them)
-        require double-rate refresh above 85 degC — a real cost of
-        cramming a die stack into a recording handheld, and the reason
-        the paper's thermal references ([4]) matter.  At or below the
-        threshold the parameters are returned unchanged.
-        """
-        if not -40.0 <= temperature_c <= 125.0:
-            raise ConfigurationError(
-                f"temperature {temperature_c} degC outside the operating "
-                "range [-40, 125]"
-            )
-        if temperature_c <= self.HOT_THRESHOLD_C:
-            return self
-        return RefreshParameters(
-            interval_ns=self.interval_ns / 2.0, all_bank=self.all_bank
-        )

@@ -182,6 +182,16 @@ class TimingCycles:
     t_xp: int
     t_cke: int
 
+    def __post_init__(self) -> None:
+        # Each engine's refresh catch-up loop moves the command bus on by
+        # t_rfc + 1 and the next deadline by t_refi per REF, so it ends
+        # only if the deadline outruns the bus.
+        if self.t_refi <= self.t_rfc + 1:
+            raise ConfigurationError(
+                f"tREFI must exceed tRFC + 1 cycles, got tREFI = {self.t_refi} "
+                f"and tRFC = {self.t_rfc} cycles at {self.freq_mhz:g} MHz"
+            )
+
     def row_miss_penalty(self) -> int:
         """Unhidden cycles added by a precharge+activate sequence
         relative to a row hit (ignoring overlap with other banks)."""

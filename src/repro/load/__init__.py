@@ -9,7 +9,9 @@ just read and write access requests to the memory subsystem".
 - :mod:`repro.load.model` -- the video-recording load model,
 - :mod:`repro.load.trace` -- trace file reader/writer,
 - :mod:`repro.load.generators` -- synthetic baseline traffic,
-- :mod:`repro.load.scaling` -- fractional-workload scaling.
+- :mod:`repro.load.scaling` -- fractional-workload scaling,
+- :mod:`repro.load.pacing` -- real-time (just-in-time) arrival times,
+- :mod:`repro.load.locality` -- static row-buffer locality prediction.
 """
 
 from repro.load.addressmap import AddressMap, Region
@@ -22,19 +24,10 @@ from repro.load.generators import (
     alternating_rw_stream,
 )
 from repro.load.scaling import choose_scale, DEFAULT_CHUNK_BUDGET
-from repro.load.pacing import pace_transactions, injection_rate_bytes_per_s
-from repro.load.mixer import (
-    interleave_backlogged,
-    merge_by_arrival,
-    streams_overlap,
-)
+from repro.load.pacing import pace_transactions
 
 __all__ = [
     "pace_transactions",
-    "injection_rate_bytes_per_s",
-    "interleave_backlogged",
-    "merge_by_arrival",
-    "streams_overlap",
     "AddressMap",
     "Region",
     "VideoRecordingLoadModel",

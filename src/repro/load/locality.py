@@ -17,7 +17,7 @@ recording" trace with a 60 % predicted hit rate is a buggy trace).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
 from repro.controller.mapping import AddressMapping, AddressMultiplexing
 from repro.controller.request import CHUNK_SHIFT, MasterTransaction
@@ -53,13 +53,6 @@ class LocalityPrediction:
         if self.total_chunks == 0:
             return 1.0
         return 1.0 - self.total_activates / self.total_chunks
-
-    def hit_rate_for(self, channel: int) -> float:
-        """Predicted hit rate of one channel."""
-        chunks = self.chunks_per_channel[channel]
-        if chunks == 0:
-            return 1.0
-        return 1.0 - self.activates_per_channel[channel] / chunks
 
 
 def predict_locality(
@@ -118,15 +111,3 @@ def predict_locality(
         chunks_per_channel=tuple(chunk_counts),
         activates_per_channel=tuple(activates),
     )
-
-
-def compare_schemes(
-    transactions: Sequence[MasterTransaction],
-    channels: int,
-    geometry: BankClusterGeometry,
-) -> Dict[AddressMultiplexing, LocalityPrediction]:
-    """Predict every multiplexing scheme's locality for one stream."""
-    return {
-        scheme: predict_locality(transactions, channels, geometry, scheme)
-        for scheme in AddressMultiplexing
-    }

@@ -71,13 +71,3 @@ def pace_transactions(
         paced.append(dataclasses.replace(txn, arrival_ns=arrival))
         progress += txn.size
     return paced
-
-
-def injection_rate_bytes_per_s(
-    transactions: Sequence[MasterTransaction], frame_period_ms: float, duty: float
-) -> float:
-    """Average injection rate of the paced stream, bytes/s."""
-    if frame_period_ms <= 0 or not 0.0 < duty <= 1.0:
-        raise ConfigurationError("invalid pacing parameters")
-    total_bytes = sum(t.size for t in transactions)
-    return total_bytes / (frame_period_ms * 1e-3 * duty)

@@ -9,15 +9,8 @@
 from repro.power.interface import InterfaceParameters, interface_power_w
 from repro.power.report import FramePowerReport, compute_frame_power
 from repro.power.xdr import XdrReference, XDR_CELL_BE
-from repro.power.standby import StandbyReport, standby_power
-from repro.power.metrics import EnergyMetrics, energy_per_bit, reference_pj_per_bit
 
 __all__ = [
-    "StandbyReport",
-    "standby_power",
-    "EnergyMetrics",
-    "energy_per_bit",
-    "reference_pj_per_bit",
     "InterfaceParameters",
     "interface_power_w",
     "FramePowerReport",

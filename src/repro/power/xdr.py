@@ -47,10 +47,6 @@ class XdrReference:
             )
         return bandwidth_bytes_per_s / self.bandwidth_bytes_per_s
 
-    def energy_per_byte_j(self) -> float:
-        """Energy per transferred byte at peak bandwidth, joules."""
-        return self.power_w / self.bandwidth_bytes_per_s
-
 
 #: The Cell BE's dual-channel XDR interface (the paper's reference [18]).
 XDR_CELL_BE = XdrReference(

@@ -1,12 +1,9 @@
-"""Unit conversions and physical constants used throughout the simulator.
+"""Time and clock conversions used throughout the simulator.
 
-The paper mixes several unit conventions: memory traffic is quoted in
-megabits (``Mb``, decimal, :math:`10^6` bits) per frame or per second,
-bandwidth in ``MB/s``/``GB/s`` (decimal bytes), DRAM capacities in
-binary megabits, times in milliseconds and nanoseconds, and power in
-milliwatts.  Centralising the conversions here keeps every experiment
-consistent with Table I's conventions and avoids the classic decimal vs
-binary mixups.
+DRAM timings are quoted in nanoseconds and resolve to whole interface
+clock cycles; the paper's Figs. 3/4 plot access time in milliseconds
+against a per-frame real-time budget.  Keeping the conversions here
+gives every experiment the same rounding rule (:func:`ns_to_cycles`).
 
 All helpers are plain functions over ``float``/``int`` so they can be
 used in performance-sensitive inner loops without object overhead.
@@ -15,85 +12,15 @@ used in performance-sensitive inner loops without object overhead.
 from __future__ import annotations
 
 # ---------------------------------------------------------------------------
-# Information quantities.
-# ---------------------------------------------------------------------------
-
-#: Bits per byte.
-BITS_PER_BYTE = 8
-
-#: Decimal prefixes (used by the paper for traffic and bandwidth numbers).
-KILO = 10**3
-MEGA = 10**6
-GIGA = 10**9
-
-#: Binary prefixes (used for DRAM capacities: a "512 Mb" device is 2**29 bits).
-KIBI = 2**10
-MEBI = 2**20
-GIBI = 2**30
-
-
-def bits_to_bytes(bits: float) -> float:
-    """Convert a bit count to bytes."""
-    return bits / BITS_PER_BYTE
-
-
-def bytes_to_bits(nbytes: float) -> float:
-    """Convert a byte count to bits."""
-    return nbytes * BITS_PER_BYTE
-
-
-def bits_to_megabits(bits: float) -> float:
-    """Convert bits to decimal megabits (the unit of Table I cells)."""
-    return bits / MEGA
-
-
-def megabits_to_bits(mbits: float) -> float:
-    """Convert decimal megabits to bits."""
-    return mbits * MEGA
-
-
-def bytes_to_megabytes(nbytes: float) -> float:
-    """Convert bytes to decimal megabytes (Table I's ``MB/s`` row)."""
-    return nbytes / MEGA
-
-
-def bytes_to_gigabytes(nbytes: float) -> float:
-    """Convert bytes to decimal gigabytes (the prose quotes ``GB/s``)."""
-    return nbytes / GIGA
-
-
-# ---------------------------------------------------------------------------
 # Time.
 # ---------------------------------------------------------------------------
 
-NS_PER_S = 10**9
 NS_PER_MS = 10**6
-NS_PER_US = 10**3
 
 
 def ns_to_ms(ns: float) -> float:
     """Convert nanoseconds to milliseconds (Fig. 3/4 plot access time in ms)."""
     return ns / NS_PER_MS
-
-
-def ms_to_ns(ms: float) -> float:
-    """Convert milliseconds to nanoseconds."""
-    return ms * NS_PER_MS
-
-
-def s_to_ns(seconds: float) -> float:
-    """Convert seconds to nanoseconds."""
-    return seconds * NS_PER_S
-
-
-def ns_to_s(ns: float) -> float:
-    """Convert nanoseconds to seconds."""
-    return ns / NS_PER_S
-
-
-def mhz_to_hz(mhz: float) -> float:
-    """Convert megahertz to hertz."""
-    return mhz * MEGA
 
 
 def clock_period_ns(freq_mhz: float) -> float:
@@ -147,23 +74,3 @@ def frame_period_ms(fps: float) -> float:
     if fps <= 0:
         raise ValueError(f"frame rate must be positive, got {fps}")
     return 1000.0 / fps
-
-
-def per_frame_to_per_second(bits_per_frame: float, fps: float) -> float:
-    """Scale a per-frame traffic figure (bits) to a per-second one."""
-    return bits_per_frame * fps
-
-
-# ---------------------------------------------------------------------------
-# Power.
-# ---------------------------------------------------------------------------
-
-
-def watts_to_milliwatts(watts: float) -> float:
-    """Convert watts to milliwatts (Fig. 5's unit)."""
-    return watts * 1000.0
-
-
-def milliwatts_to_watts(mw: float) -> float:
-    """Convert milliwatts to watts."""
-    return mw / 1000.0

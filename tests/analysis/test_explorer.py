@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis.explorer import (
     compare_energy_strategies,
-    conclusions_summary,
     find_minimum_power_configuration,
     minimum_channels,
 )
@@ -55,19 +54,6 @@ class TestMinimumChannels:
         at_200 = minimum_channels(level, freq_mhz=200.0, chunk_budget=BUDGET)
         at_533 = minimum_channels(level, freq_mhz=533.0, chunk_budget=BUDGET)
         assert at_200 >= at_533
-
-
-class TestConclusionsSummary:
-    def test_matches_paper_section_v(self):
-        # "level 3.2 ... clearly needs several channels ... level 4
-        # requires the 4-channel configuration [2 is only marginal]
-        # ... 8-channel ... capable up to level 5.2."
-        summary = conclusions_summary(chunk_budget=BUDGET)
-        assert summary["3.1"] == 1
-        assert summary["3.2"] == 2
-        assert summary["4"] in (2, 4)
-        assert summary["4.2"] in (4, 8)
-        assert summary["5.2"] == 8
 
 
 class TestMinimumPowerConfiguration:

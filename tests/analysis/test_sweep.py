@@ -7,7 +7,6 @@ from repro.analysis.experiments import run_fig3
 from repro.analysis.realtime import RealTimeVerdict
 from repro.analysis.sweep import (
     channel_sweep_configs,
-    frequency_sweep_configs,
     simulate_use_case,
     sweep_use_case,
 )
@@ -80,11 +79,6 @@ class TestConfigFactories:
         configs = channel_sweep_configs(SystemConfig(freq_mhz=266.0), [1, 4, 8])
         assert [c.channels for c in configs] == [1, 4, 8]
         assert all(c.freq_mhz == 266.0 for c in configs)
-
-    def test_frequency_sweep(self):
-        configs = frequency_sweep_configs(SystemConfig(channels=2), [200.0, 533.0])
-        assert [c.freq_mhz for c in configs] == [200.0, 533.0]
-        assert all(c.channels == 2 for c in configs)
 
 
 def outputs(point):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.tables import format_kv, format_series, format_table
+from repro.analysis.tables import format_table
 from repro.errors import ConfigurationError
 
 
@@ -31,28 +31,3 @@ class TestFormatTable:
     def test_min_width(self):
         out = format_table([["a", "b"]], min_width=10)
         assert len(out.split("\n")[0]) >= 20
-
-
-class TestFormatKv:
-    def test_alignment(self):
-        out = format_kv({"a": 1, "long": 2})
-        lines = out.split("\n")
-        assert lines[0].index(":") == lines[1].index(":")
-
-    def test_title(self):
-        assert format_kv({"a": 1}, title="T").startswith("T")
-
-    def test_rejects_empty(self):
-        with pytest.raises(ConfigurationError):
-            format_kv({})
-
-
-class TestFormatSeries:
-    def test_basic(self):
-        out = format_series("x", [1, 2], {"s1": [10, 20], "s2": [30, 40]})
-        assert "s1" in out and "s2" in out
-        assert "40" in out
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            format_series("x", [1, 2], {"s": [1]})

@@ -16,84 +16,3 @@ class TestRefreshParameters:
     def test_rejects_nonpositive_interval(self):
         with pytest.raises(ConfigurationError):
             RefreshParameters(interval_ns=0.0)
-
-    def test_commands_in_window(self):
-        ref = RefreshParameters(interval_ns=7800.0)
-        assert ref.commands_in(78_000.0) == 10
-        assert ref.commands_in(7_799.0) == 0
-        assert ref.commands_in(0.0) == 0
-        assert ref.commands_in(-5.0) == 0
-
-    def test_duty_fraction(self):
-        ref = RefreshParameters(interval_ns=7800.0)
-        # tRFC = 72 ns -> ~0.92 % bandwidth loss.
-        assert ref.duty_fraction(72.0) == pytest.approx(72.0 / 7800.0)
-
-    def test_duty_fraction_rejects_negative_trfc(self):
-        ref = RefreshParameters(interval_ns=7800.0)
-        with pytest.raises(ConfigurationError):
-            ref.duty_fraction(-1.0)
-
-    def test_commands_per_second_rate(self):
-        # 1 s / 7.8 us = ~128205 refreshes per second per channel.
-        ref = RefreshParameters(interval_ns=7800.0)
-        assert ref.commands_in(1e9) == 128205
-
-
-class TestTemperatureDerating:
-    def test_cool_die_unchanged(self):
-        ref = RefreshParameters(interval_ns=7800.0)
-        assert ref.derated(25.0) is ref
-        assert ref.derated(85.0) is ref
-
-    def test_hot_die_halves_interval(self):
-        ref = RefreshParameters(interval_ns=7800.0)
-        hot = ref.derated(95.0)
-        assert hot.interval_ns == pytest.approx(3900.0)
-        assert hot.all_bank == ref.all_bank
-
-    def test_operating_range_enforced(self):
-        ref = RefreshParameters(interval_ns=7800.0)
-        with pytest.raises(ConfigurationError):
-            ref.derated(130.0)
-        with pytest.raises(ConfigurationError):
-            ref.derated(-50.0)
-
-    def test_device_level_derating(self):
-        from repro.dram.datasheet import NEXT_GEN_MOBILE_DDR
-
-        hot = NEXT_GEN_MOBILE_DDR.at_temperature(95.0)
-        assert hot.timing.t_refi_ns == pytest.approx(3900.0)
-        assert hot.refresh.interval_ns == pytest.approx(3900.0)
-        assert "95" in hot.name
-        # Cool path returns the identical object.
-        assert NEXT_GEN_MOBILE_DDR.at_temperature(40.0) is NEXT_GEN_MOBILE_DDR
-
-    def test_hot_device_refreshes_twice_as_often_in_simulation(self):
-        from repro.controller.engine import ChannelEngine
-        from repro.controller.interconnect import InterconnectModel
-        from repro.dram.datasheet import NEXT_GEN_MOBILE_DDR
-
-        ideal = InterconnectModel(0.0)
-        runs = [(0, 0, 50_000)]
-        cool = ChannelEngine(NEXT_GEN_MOBILE_DDR, 400.0, interconnect=ideal).run(runs)
-        hot_dev = NEXT_GEN_MOBILE_DDR.at_temperature(95.0)
-        hot = ChannelEngine(hot_dev, 400.0, interconnect=ideal).run(runs)
-        assert hot.counters.refreshes > 1.8 * cool.counters.refreshes
-        assert hot.finish_cycle > cool.finish_cycle
-
-    def test_hot_device_burns_more_power(self):
-        from repro.analysis.sweep import simulate_use_case
-        from repro.core.config import SystemConfig
-        from repro.dram.datasheet import NEXT_GEN_MOBILE_DDR
-        from repro.usecase.levels import level_by_name
-
-        cool_cfg = SystemConfig(channels=2, freq_mhz=400.0)
-        hot_cfg = SystemConfig(
-            channels=2, freq_mhz=400.0,
-            device=NEXT_GEN_MOBILE_DDR.at_temperature(95.0),
-        )
-        cool = simulate_use_case(level_by_name("3.1"), cool_cfg, chunk_budget=40_000)
-        hot = simulate_use_case(level_by_name("3.1"), hot_cfg, chunk_budget=40_000)
-        assert hot.total_power_mw > cool.total_power_mw
-        assert hot.access_time_ms > cool.access_time_ms

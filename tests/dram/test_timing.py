@@ -5,6 +5,9 @@ import dataclasses
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.backends.batch import BatchChannelEngine
+from repro.controller.engine import ChannelEngine
+from repro.controller.frfcfs import ReorderingChannelEngine
 from repro.dram.datasheet import (
     NEXT_GEN_MOBILE_DDR,
     contemporary_mobile_ddr,
@@ -13,6 +16,7 @@ from repro.dram.datasheet import (
 )
 from repro.dram.timing import TimingParameters
 from repro.errors import ConfigurationError
+from repro.resilience.faults import corrupt_timing
 
 TIMING = NEXT_GEN_MOBILE_DDR.timing
 
@@ -181,3 +185,48 @@ class TestFourActivateWindow:
         )
         t = tiny.at_frequency(533.0)
         assert t.t_rcd == t.t_rp == t.t_rrd == 1
+
+
+class TestRefreshCatchUpGuard:
+    """Every engine's refresh catch-up loop terminates only when tREFI
+    exceeds tRFC + 1 cycles; anything else is refused up front."""
+
+    ENGINES = [ChannelEngine, BatchChannelEngine, ReorderingChannelEngine]
+
+    @pytest.mark.parametrize("engine", ENGINES, ids=lambda cls: cls.__name__)
+    @pytest.mark.parametrize("t_refi_ns", [72.0, 1e-12], ids=["trfc", "tiny"])
+    def test_engines_refuse_a_refresh_interval_inside_trfc(self, engine, t_refi_ns):
+        device = dataclasses.replace(
+            NEXT_GEN_MOBILE_DDR,
+            timing=dataclasses.replace(TIMING, t_refi_ns=t_refi_ns),
+        )
+        with pytest.raises(ConfigurationError, match="tREFI .* tRFC") as err:
+            engine(device, 400.0)
+        assert "400 MHz" in str(err.value)
+
+    def test_boundary_is_trfc_plus_one_cycle(self):
+        t = TIMING.at_frequency(400.0)
+        with pytest.raises(ConfigurationError):
+            dataclasses.replace(t, t_refi=t.t_rfc + 1)
+        assert dataclasses.replace(t, t_refi=t.t_rfc + 2).t_refi == t.t_rfc + 2
+
+    def test_corrupted_timing_is_refused(self):
+        t = TIMING.at_frequency(400.0)
+        with pytest.raises(ConfigurationError):
+            corrupt_timing(t, "t_refi", -t.t_refi)
+
+    @pytest.mark.parametrize(
+        "device",
+        [next_gen_mobile_ddr(), contemporary_mobile_ddr(), standard_ddr2()],
+        ids=lambda device: device.name,
+    )
+    def test_shipped_devices_construct_at_every_clock(self, device):
+        # Every clock the device supports, in whole MHz.
+        timing = device.timing
+        lo, hi = int(timing.f_min_mhz), int(timing.f_max_mhz)
+        for freq in range(lo, hi + 1):
+            cycles = timing.at_frequency(float(freq))
+            assert cycles.t_refi > cycles.t_rfc + 1, freq
+        for engine in self.ENGINES:
+            engine(device, float(lo))
+            engine(device, float(hi))

@@ -9,7 +9,7 @@ from repro.core.system import MultiChannelMemorySystem
 from repro.dram.datasheet import NEXT_GEN_MOBILE_DDR
 from repro.errors import ConfigurationError
 from repro.load.generators import random_stream, sequential_stream
-from repro.load.locality import compare_schemes, predict_locality
+from repro.load.locality import predict_locality
 from repro.load.model import VideoRecordingLoadModel
 from repro.usecase.levels import level_by_name
 from repro.usecase.pipeline import VideoRecordingUseCase
@@ -91,23 +91,3 @@ class TestEngineCrossValidation:
         # Engine adds at most geometry.banks re-activations per refresh.
         assert pred.total_activates <= measured
         assert measured <= pred.total_activates + refreshes * GEO.banks * 2
-
-
-class TestCompareSchemes:
-    def test_all_schemes_predicted(self):
-        txns = sequential_stream(2**18, block_bytes=4096)
-        preds = compare_schemes(txns, 2, GEO)
-        assert set(preds) == set(AddressMultiplexing)
-
-    def test_row_strided_prefers_xor(self):
-        # Row-stride-1 walks within one RBC bank: XOR folding spreads
-        # them and halves nothing -- activates are equal (every access
-        # a new row) but the *banks* differ; verify via hit rates on a
-        # mixed stride.
-        txns = [
-            MasterTransaction(Op.READ, i * 16384, 64) for i in range(200)
-        ]
-        preds = compare_schemes(txns, 1, GEO)
-        rbc = preds[AddressMultiplexing.RBC]
-        xor = preds[AddressMultiplexing.RBC_XOR]
-        assert xor.total_activates <= rbc.total_activates

@@ -7,7 +7,7 @@ from repro.core.config import SystemConfig
 from repro.core.system import MultiChannelMemorySystem
 from repro.errors import ConfigurationError
 from repro.load.model import VideoRecordingLoadModel
-from repro.load.pacing import injection_rate_bytes_per_s, pace_transactions
+from repro.load.pacing import pace_transactions
 from repro.power.report import compute_frame_power
 from repro.usecase.levels import level_by_name
 from repro.usecase.pipeline import VideoRecordingUseCase
@@ -55,11 +55,6 @@ class TestPaceTransactions:
             pace_transactions(txns, 33.3, duty=0.0)
         with pytest.raises(ConfigurationError):
             pace_transactions(txns, 33.3, duty=1.5)
-
-    def test_injection_rate(self):
-        txns = [MasterTransaction(Op.READ, 0, 1000)]
-        rate = injection_rate_bytes_per_s(txns, frame_period_ms=1.0, duty=1.0)
-        assert rate == pytest.approx(1e6)
 
 
 class TestPacedSimulation:

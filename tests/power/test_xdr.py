@@ -20,9 +20,6 @@ class TestCellBeReference:
     def test_bandwidth_ratio(self):
         assert XDR_CELL_BE.bandwidth_ratio(25.0e9) == pytest.approx(0.977, abs=1e-3)
 
-    def test_energy_per_byte(self):
-        assert XDR_CELL_BE.energy_per_byte_j() == pytest.approx(5.0 / 25.6e9)
-
 
 class TestValidation:
     def test_rejects_bad_reference(self):

@@ -1,6 +1,9 @@
 """Public-API surface tests: everything the README and examples use
 must be importable from the top-level package."""
 
+import importlib
+import pkgutil
+
 import repro
 
 
@@ -11,6 +14,19 @@ class TestPublicSurface:
     def test_all_exports_resolve(self):
         for name in repro.__all__:
             assert hasattr(repro, name), f"missing export {name}"
+
+    def test_every_module_exports_resolve(self):
+        modules = [
+            importlib.import_module(info.name)
+            for info in pkgutil.walk_packages(repro.__path__, "repro.")
+        ]
+        exporting = [m for m in modules if hasattr(m, "__all__")]
+        assert len(exporting) > 10
+        for module in exporting:
+            for name in module.__all__:
+                assert hasattr(module, name), (
+                    f"{module.__name__}.__all__ names missing {name}"
+                )
 
     def test_quickstart_flow(self):
         """The README quickstart, verbatim in spirit."""

@@ -9,8 +9,6 @@ import dataclasses
 import pytest
 
 from repro import (
-    ChannelCluster,
-    ClusteredMemorySystem,
     MultiChannelMemorySystem,
     SystemConfig,
     VideoRecordingLoadModel,
@@ -22,8 +20,6 @@ from repro import (
 )
 from repro.analysis.validate import validate_configuration
 from repro.controller.mapping import AddressMultiplexing
-from repro.load.mixer import interleave_backlogged, streams_overlap
-from repro.load.generators import sequential_stream
 from repro.power.report import compute_frame_power
 
 SCALE = 1 / 64
@@ -58,48 +54,6 @@ class TestTraceDrivenPipeline:
         write_trace(path, paced)
         back = read_trace(path)
         assert [t.arrival_ns for t in back] == [t.arrival_ns for t in paced]
-
-
-class TestMixedMastersVsClusters:
-    def test_clustering_beats_merging_for_isolation(self):
-        """The paper's Section V argument end-to-end: a merged
-        monolithic memory couples the masters; clusters do not."""
-        video = frame_txns()
-        ui_base = 512 * 2**20  # disjoint region
-        ui = sequential_stream(int(8 * 2**20 * SCALE), block_bytes=4096,
-                               base_address=ui_base)
-        assert not streams_overlap([video, ui])
-
-        merged = interleave_backlogged([video, ui])
-        mono = MultiChannelMemorySystem(SystemConfig(channels=8))
-        mono_time = mono.run(merged, scale=SCALE).access_time_ms
-
-        clusters = ClusteredMemorySystem(
-            [
-                ChannelCluster("video", SystemConfig(channels=4)),
-                ChannelCluster("ui", SystemConfig(channels=4)),
-            ]
-        )
-        # Rebase the UI stream into the UI cluster's own address space.
-        ui_local = [dataclasses.replace(t, address=t.address - ui_base) for t in ui]
-        results = clusters.run({"video": video, "ui": ui_local}, scale=SCALE)
-        ui_alone = clusters.run({"ui": ui_local}, scale=SCALE)["ui"]
-        # Isolation: identical latency with and without the video load.
-        assert results["ui"].access_time_ms == ui_alone.access_time_ms
-        # Both organisations complete; the monolithic one serialises
-        # the masters over more channels.
-        assert mono_time > 0
-        assert results["video"].access_time_ms > 0
-
-    def test_merged_stream_is_protocol_clean(self):
-        video = frame_txns()
-        ui = sequential_stream(2**20 // 64, block_bytes=4096,
-                               base_address=512 * 2**20)
-        merged = interleave_backlogged([video, ui])
-        system = MultiChannelMemorySystem(SystemConfig(channels=2))
-        logs = []
-        system.run(merged, scale=SCALE, command_logs=logs)
-        assert system.audit(logs) == []
 
 
 class TestCrossDeviceConsistency:

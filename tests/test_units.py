@@ -1,45 +1,14 @@
 """Unit-conversion tests."""
 
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 
 from repro import units
-from repro.errors import ReproError
-
-
-class TestInformation:
-    def test_bits_to_bytes(self):
-        assert units.bits_to_bytes(16) == 2.0
-
-    def test_bytes_to_bits(self):
-        assert units.bytes_to_bits(2) == 16
-
-    def test_megabits(self):
-        assert units.bits_to_megabits(5e6) == 5.0
-        assert units.megabits_to_bits(5.0) == 5e6
-
-    def test_bytes_to_megabytes_is_decimal(self):
-        assert units.bytes_to_megabytes(10**6) == 1.0
-
-    def test_bytes_to_gigabytes_is_decimal(self):
-        assert units.bytes_to_gigabytes(1.9e9) == pytest.approx(1.9)
-
-    @given(st.floats(min_value=0, max_value=1e15, allow_nan=False))
-    def test_bits_bytes_round_trip(self, bits):
-        assert units.bytes_to_bits(units.bits_to_bytes(bits)) == pytest.approx(bits)
 
 
 class TestTime:
     def test_ns_to_ms(self):
         assert units.ns_to_ms(33.3e6) == pytest.approx(33.3)
-
-    def test_ms_to_ns(self):
-        assert units.ms_to_ns(1.0) == 1e6
-
-    def test_s_ns_round_trip(self):
-        assert units.ns_to_s(units.s_to_ns(0.5)) == pytest.approx(0.5)
 
     def test_clock_period_200mhz(self):
         assert units.clock_period_ns(200.0) == pytest.approx(5.0)
@@ -93,13 +62,3 @@ class TestFrameRate:
     def test_rejects_nonpositive_fps(self):
         with pytest.raises(ValueError):
             units.frame_period_ms(0)
-
-    def test_per_frame_to_per_second(self):
-        assert units.per_frame_to_per_second(100.0, 30) == pytest.approx(3000.0)
-
-
-class TestPower:
-    def test_watts_milliwatts_round_trip(self):
-        assert units.milliwatts_to_watts(units.watts_to_milliwatts(1.234)) == (
-            pytest.approx(1.234)
-        )
