@@ -251,7 +251,10 @@ class BatchChannelEngine(ChannelEngine):
         end after them.  Each segment visit is one body: the reference
         engine's refresh, command-queue and row-management blocks
         (kept textually in sync with it, down to the bookkeeping both
-        leave out where it provably never binds), the head's column
+        leave out where it provably never binds; the one difference is
+        the reference's flush of its block's pending precharge-ready
+        before the PREA scan, which batch needs none of, because it
+        raises ``pre_ready`` at the end of every visit), the head's column
         time as the max of every bound, then the head and the
         segment's remaining
         accesses in closed form -- capped at the next refresh

@@ -730,6 +730,7 @@ def _run_command(args: argparse.Namespace) -> Tuple[List[str], int]:
         sections.append(summary.format())
         if not summary.all_passed:
             sections.append("VALIDATION FAILED")
+            exit_code = 1
     if command == "explore":
         level = level_by_name(args.level)
         sections.append(f"== Design exploration: {level.column_title} ==")

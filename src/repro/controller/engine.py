@@ -377,8 +377,16 @@ class ChannelEngine:
         run's latency, turnaround floor, precharge offset, column
         command and read/write tally, once per run (a run has one
         direction and leaves the other's last data end alone); the
+        bank's precharge-ready raise, once per block from its last
+        column (column times strictly grow within a block); the
         command-queue ring wherever ``queue.can_bind`` rules it out;
         and the tFAW history wherever ``timing.faw_can_bind`` does.
+        Only the PREA scan, a conflict PRE and the closed-page PRE
+        read ``pre_ready``.  A conflict PRE falls in a later block
+        (bank and row are fixed within one, and a refresh leaves a
+        closed miss), so only the refresh and the closed-page PRE
+        flush the pending raise first -- the refresh block's one line
+        that batch's copy of it lacks.
         ``cmd_free`` never falls and PRE, ACT and column are >= 1
         cycle apart, so no command needs a ``cmd_free`` clamp, and a
         row hit (its ACT's column already issued) needs no tRCD check.
@@ -487,6 +495,7 @@ class ChannelEngine:
                 turn = last_rd_end + rtw_gap - wl
                 pre_off = wl + burst + t_wr  # write recovery
                 col_cmd = Command.WRITE
+            lat_burst = lat + burst
             # (bank, row) is constant over each aligned 2**block_shift
             # block of chunks: decode once per block, then step its
             # bursts.
@@ -501,9 +510,16 @@ class ChannelEngine:
                 ) & bank_mask
                 row = (lo >> row_shift) & row_mask
                 bank_accesses[bank] += hi - lo
+                # Between bursts t is the block's last column, whose
+                # precharge-ready t + pre_off is pending until a flush;
+                # before the first column the pending 0 raises nothing.
+                t = -pre_off
                 for _ in range(hi - lo):
                     # --- refresh --------------------------------------
                     if cmd_free >= next_ref:
+                        f = t + pre_off  # flush before the PREA scan
+                        if f > pre_ready[bank]:
+                            pre_ready[bank] = f
                         tpre = cmd_free
                         any_open = False
                         for b in range(nbanks):
@@ -601,13 +617,9 @@ class ChannelEngine:
                     cmd_free = t + 1
                     if log_append is not None:
                         log_append(CommandRecord(t, col_cmd, bank, row))
-                    ds = t + lat
-                    f = t + pre_off
-                    if f > pre_ready[bank]:
-                        pre_ready[bank] = f
 
                     # --- interconnect overhead ------------------------
-                    de = ds + burst
+                    de = t + lat_burst
                     ovh_acc += ovh_per
                     if ovh_acc >= ovh_scale:
                         de += ovh_acc >> ovh_shift
@@ -615,13 +627,16 @@ class ChannelEngine:
                     bus_free = de
 
                     if queue_live:
-                        ring[ring_i] = ds
+                        ring[ring_i] = t + lat
                         ring_i += 1
                         if ring_i == qdepth:
                             ring_i = 0
 
                     # --- closed-page policy: precharge immediately ----
                     if closed_page:
+                        f = t + pre_off  # flush before the PRE
+                        if f > pre_ready[bank]:
+                            pre_ready[bank] = f
                         tpre = pre_ready[bank]
                         if tpre < cmd_free:
                             tpre = cmd_free
@@ -634,12 +649,15 @@ class ChannelEngine:
                         f = tpre + t_rp
                         if f > act_ready[bank]:
                             act_ready[bank] = f
+                f = t + pre_off
+                if f > pre_ready[bank]:
+                    pre_ready[bank] = f
                 lo = hi
             if op == 0:
-                last_rd_end = ds + burst
+                last_rd_end = t + lat_burst
                 n_rd += count
             else:
-                last_wr_end = ds + burst
+                last_wr_end = t + lat_burst
                 n_wr += count
 
         finish = bus_free if bus_free > cmd_free else cmd_free

@@ -180,7 +180,8 @@ class MultiChannelMemorySystem:
         per-channel capacity), so :meth:`run_split` can hand the runs
         to the engines unchecked.
         """
-        per_channel: List[list] = [[] for _ in range(self.config.channels)]
+        m = self.config.channels
+        per_channel: List[list] = [[] for _ in range(m)]
         appends = [channel_runs.append for channel_runs in per_channel]
         capacity = self.config.total_capacity_bytes
         total_chunks = capacity >> CHUNK_SHIFT
@@ -228,16 +229,28 @@ class MultiChannelMemorySystem:
                 )
             queued_chunks += span
             op = int(txn.op)
-            first %= total_chunks
             last = first + span - 1
             if last >= total_chunks:
-                # Wraps at capacity: the head piece, then the rest from 0.
-                for ch, start, count in split_span(first, total_chunks - 1):
-                    appends[ch]((op, start, count, arrival_cycle))
-                first = 0
-                last -= total_chunks
-            for ch, start, count in split_span(first, last):
-                appends[ch]((op, start, count, arrival_cycle))
+                first %= total_chunks
+                last = first + span - 1
+                if last >= total_chunks:
+                    # Wraps at capacity: the head piece, then the rest
+                    # from 0.
+                    for ch, start, count in split_span(first, total_chunks - 1):
+                        appends[ch]((op, start, count, arrival_cycle))
+                    first = 0
+                    last -= total_chunks
+            # ChannelInterleaver.split_span inlined: global chunk g of
+            # [first, last] opens channel g % m's run at local chunk
+            # g // m, so the span's first m chunks start every run.
+            if m == 1:
+                appends[0]((op, first, last - first + 1, arrival_cycle))
+            else:
+                stop = first + m
+                if stop > last:
+                    stop = last + 1
+                for g in range(first, stop):
+                    appends[g % m]((op, g // m, (last - g) // m + 1, arrival_cycle))
         return _CheckedSplit(
             per_channel, n_txns, queued_chunks, self._max_chunk
         )

@@ -212,10 +212,6 @@ class TimingCycles:
         """
         return self.t_faw > 4 * self.t_rrd and (banks > 4 or self.t_faw > self.t_rc)
 
-    def cycles_to_ns(self, cycles: float) -> float:
-        """Convert a cycle count at this frequency to nanoseconds."""
-        return cycles * self.t_ck_ns
-
     def ns_to_cycle_count(self, ns: float) -> int:
         """Convert nanoseconds to a (ceiling) cycle count at this clock."""
         return ns_to_cycles(ns, self.freq_mhz)

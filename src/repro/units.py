@@ -53,24 +53,3 @@ def ns_to_cycles(ns: float, freq_mhz: float) -> int:
     if cycles * period < ns - 1e-9:
         cycles += 1
     return cycles
-
-
-def cycles_to_ns(cycles: float, freq_mhz: float) -> float:
-    """Convert a cycle count at ``freq_mhz`` to nanoseconds."""
-    return cycles * clock_period_ns(freq_mhz)
-
-
-# ---------------------------------------------------------------------------
-# Frame-rate helpers.
-# ---------------------------------------------------------------------------
-
-
-def frame_period_ms(fps: float) -> float:
-    """Real-time budget for one frame in milliseconds.
-
-    The paper's Fig. 3/4 draw this as the red "real-time requirement"
-    line: 33.3 ms at 30 fps and 16.7 ms at 60 fps.
-    """
-    if fps <= 0:
-        raise ValueError(f"frame rate must be positive, got {fps}")
-    return 1000.0 / fps

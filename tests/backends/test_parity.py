@@ -17,7 +17,9 @@ whose head takes the max of all its bounds; the identity classes at
 the end pin the cases that body must get right beyond the default
 queue on unpaced traffic: a live command queue, idle gaps under every
 power-down policy, heads held by a turnaround or by tRCD after an
-activate, and a refresh deadline inside a segment.
+activate, and a refresh deadline inside a segment.  Another pins the
+reference's once-per-block precharge-ready raise where a refresh or a
+closed-page PRE reads it inside a block.
 
 Three classes hold what parity with batch cannot: the digest of the
 reference's own command log, pinned across clock, queue depth and page
@@ -328,6 +330,81 @@ class TestHeadBoundIdentity:
                 cuts.append(issued % block)
         assert len(cuts) >= 3
         assert any(cut != 0 for cut in cuts)
+
+
+#: The paper's device with a 30 ns write recovery: a write's
+#: precharge-ready (WL + burst + tWR after its column) then outlasts
+#: tRAS from its activate, so it bounds the precharge after it, the
+#: closed-page one included.
+SLOW_WRITE_RECOVERY = replace(
+    PAPER_CLOCK,
+    device=replace(
+        PAPER_CLOCK.device,
+        timing=replace(PAPER_CLOCK.device.timing, t_wr_ns=30.0),
+    ),
+)
+SLOW_TIMING = SLOW_WRITE_RECOVERY.device.timing.at_frequency(400.0)
+
+
+def _first_refresh(config: SystemConfig, runs):
+    """The reference log, the first REFRESH's index in it, and the
+    column commands before it; the log must pass the protocol checker
+    and batch must match the reference."""
+    for backend in EXACT_BACKENDS:
+        _identical(config, runs, backend)
+    log = _reference_log(config, runs)
+    assert Channel(config).simulator.make_checker().check(log) == []
+    i = next(k for k, rec in enumerate(log) if rec.command is Command.REFRESH)
+    return log, i, [rec for rec in log[:i] if rec.command in COLUMN]
+
+
+class TestPrechargeReadyFlush:
+    """The reference raises a bank's precharge-ready from a block's
+    last column once per block, and flushes the pending value first
+    where it is read inside the block: before a refresh's PREA scan
+    and before the closed-page PRE.  Each case pins the first REFRESH
+    cycle, which a missing or wrong flush moves."""
+
+    @pytest.mark.parametrize(
+        "policy, ref_cycle", [("open", 3141), ("closed", 3132)]
+    )
+    def test_refresh_inside_a_write_block(self, policy, ref_cycle):
+        config = replace(SLOW_WRITE_RECOVERY, page_policy=PagePolicy(policy))
+        log, i, columns = _first_refresh(config, [(1, 0, 4000, 0)])
+        block = 1 << Channel(config).simulator.mapping.block_shift
+        assert len(columns) % block != 0  # the refresh falls mid-block
+        # The current bank's last write bounds the precharge before
+        # the refresh: the PREA (open page) or the closed-page PRE.
+        last = columns[-1]
+        pre = log[i - 1]
+        assert pre.command is (
+            Command.PRECHARGE_ALL if policy == "open" else Command.PRECHARGE
+        )
+        assert pre.cycle == (
+            last.cycle
+            + SLOW_TIMING.write_latency
+            + SLOW_TIMING.burst_cycles
+            + SLOW_TIMING.t_wr
+        )
+        assert log[i].cycle == ref_cycle
+
+    def test_refresh_at_a_blocks_first_column_flushes_nothing(self):
+        # Reads up to the first refresh deadline, then a write run into
+        # bank 1, whose row 0 is still open: the deadline is met at the
+        # write block's first burst, before it issues a column, so the
+        # PREA waits only for the last read.
+        config = SLOW_WRITE_RECOVERY
+        _, _, columns = _first_refresh(config, [(0, 0, 4000, 0)])
+        reads = len(columns)
+        runs = [(0, 0, reads, 0), (1, 256, 64, 0)]
+        log, i, columns = _first_refresh(config, runs)
+        assert len(columns) == reads
+        assert log[i + 1 :] and log[i + 1].command is Command.ACTIVATE
+        assert (log[i + 1].bank, log[i + 1].row) == (1, 0)
+        pre = log[i - 1]
+        assert pre.command is Command.PRECHARGE_ALL
+        assert pre.cycle == columns[-1].cycle + SLOW_TIMING.burst_cycles
+        assert log[i].cycle == 3128
 
 
 def _frame_runs():

@@ -130,10 +130,6 @@ class TestTimingCycles:
         t = TIMING.at_frequency(400.0)
         assert t.row_miss_penalty() == t.t_rp + t.t_rcd == 12
 
-    def test_cycles_to_ns(self):
-        t = TIMING.at_frequency(400.0)
-        assert t.cycles_to_ns(4) == pytest.approx(10.0)
-
     def test_ns_to_cycle_count(self):
         t = TIMING.at_frequency(400.0)
         assert t.ns_to_cycle_count(15.0) == 6

@@ -110,6 +110,15 @@ class TestNewSubcommands:
         assert "correctness oracles" in out
         assert "VALIDATION FAILED" not in out
 
+    def test_validate_failure_exits_non_zero(self, capsys):
+        # 1080p60 on 8 channels at 533 MHz is 18 % off the analytic
+        # model, outside its 15 % band.
+        assert main(["--budget", "20000", "validate", "--level", "4.2",
+                     "--channels", "8", "--freq", "533"]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] analytic agreement" in out
+        assert "VALIDATION FAILED" in out
+
 
 class TestResilienceFlags:
     def test_checkpoint_writes_points(self, tmp_path, capsys, fast_args):

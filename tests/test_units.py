@@ -47,18 +47,3 @@ class TestNsToCycles:
         assert cycles * period >= ns - 1e-6
         # ...but not a whole extra cycle too many.
         assert (cycles - 1) * period < ns + 1e-6
-
-    def test_cycles_to_ns_inverse(self):
-        assert units.cycles_to_ns(3, 200.0) == pytest.approx(15.0)
-
-
-class TestFrameRate:
-    def test_30fps_period(self):
-        assert units.frame_period_ms(30) == pytest.approx(33.333, abs=1e-3)
-
-    def test_60fps_period(self):
-        assert units.frame_period_ms(60) == pytest.approx(16.667, abs=1e-3)
-
-    def test_rejects_nonpositive_fps(self):
-        with pytest.raises(ValueError):
-            units.frame_period_ms(0)
